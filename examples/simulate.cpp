@@ -30,10 +30,6 @@
  *     --ber F          (shorthand for -p faults.model=ber
  *                       -p faults.ber=F; routes intra-group data
  *                       over the reliable DLL transport)
- *     --threads N      (shorthand for -p sim.threads=N and, for
- *                       N > 1, -p sim.shard=group: run the sharded
- *                       parallel kernel on N OS threads; see
- *                       docs/parallel_kernel.md)
  *     --hosts N        (shorthand for -p rack.hosts=N: partition the
  *                       DL groups across N hosts pooling their
  *                       NMP-DIMMs over the inter-host fabric; see
@@ -164,12 +160,6 @@ main(int argc, char **argv)
         else if (a == "--ber") {
             overrides.push_back("faults.model=ber");
             overrides.push_back("faults.ber=" + next());
-        }
-        else if (a == "--threads") {
-            const std::string n = next();
-            overrides.push_back("sim.threads=" + n);
-            if (n != "1")
-                overrides.push_back("sim.shard=group");
         }
         else if (a == "--hosts")
             overrides.push_back("rack.hosts=" + next());

@@ -28,13 +28,11 @@ struct FreeNode
 struct Pool
 {
     FreeNode *freeList[numClasses] = {};
-    // Slab backing storage. Deliberately leaked (no destructor): the
-    // parallel kernel allocates callbacks on per-window worker
-    // threads, and blocks carved from a worker's slab can still be
-    // live in an event queue after that worker exits. Freeing slabs
-    // at thread exit would turn those callbacks into dangling
-    // pointers; the leak is bounded by each thread's allocation
-    // high-water mark.
+    // Slab backing storage. Deliberately leaked (no destructor): a
+    // block can still be live in an event queue when its thread's
+    // pool is destroyed at thread exit, and freeing the slab would
+    // leave that callback dangling. The leak is bounded by each
+    // thread's allocation high-water mark.
     std::vector<void *> slabs;
 };
 

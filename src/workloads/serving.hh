@@ -9,8 +9,7 @@
  *
  * Plans are built host-side, before the kernel runs, so the op
  * streams a serving workload emits are a pure function of the config:
- * the same plan drives the sequential kernel, the sharded kernel at
- * any thread count, and the host baseline.
+ * the same plan drives the NMP system and the host baseline.
  */
 
 #ifndef DIMMLINK_WORKLOADS_SERVING_HH
@@ -66,7 +65,7 @@ std::vector<ThreadPlan> buildPlans(const ServeConfig &s,
  * latencyP95Ps / latencyP99Ps / achievedQps / offeredQps scalars.
  * Rebuilt from scratch each call (idempotent); cores are visited in
  * sorted-name order and count merges commute, so the result is
- * byte-identical at every thread count. Returns false (and writes
+ * deterministic. Returns false (and writes
  * nothing) when no core retired a request.
  */
 bool aggregate(stats::Registry &reg, const SystemConfig &cfg,
