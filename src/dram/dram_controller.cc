@@ -81,7 +81,11 @@ DramController::enqueue(DramRequest req)
                     queue().scheduleIn(0, std::move(done),
                                        EventPriority::Delivery);
                 }
+                // The replacement inherits any ACT/PRE already issued
+                // for the older write's row.
+                const bool opened = other.openedRow;
                 other = std::move(qr);
+                other.openedRow = opened;
                 return true;
             }
         }
@@ -244,6 +248,8 @@ DramController::advance(QueuedReq &qr, Tick now_t)
             nextCasSameGroup[rg] = now_t + spec.cyc(spec.tCCDl);
         dataBusFreeAt[lane] = data_end;
 
+        if (!qr.openedRow)
+            ++statRowHits;
         statLatency.sample(static_cast<double>(data_end - qr.arrival));
         if (tr)
             tr->complete(trk, is_wr ? nmWr : nmRd, now_t,
@@ -255,6 +261,7 @@ DramController::advance(QueuedReq &qr, Tick now_t)
         return true;
     }
 
+    qr.openedRow = true;
     if (!bank.isOpen()) {
         bank.activate(now_t, qr.coord.row, spec);
         ++statActs;

@@ -54,6 +54,9 @@ struct QueuedReq
     DramRequest req;
     DramCoord coord;
     Tick arrival;
+    /** The controller issued an ACT or PRE for this request, so its
+     * CAS is not a row hit. */
+    bool openedRow = false;
 };
 
 /**

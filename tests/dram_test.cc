@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -265,6 +266,62 @@ TEST_F(ControllerTest, WriteCoalescingRetiresOlderWrite)
     EXPECT_EQ(done, 2u);
     // Only one write actually hit the DRAM array.
     EXPECT_DOUBLE_EQ(reg.scalar("ctl.writes"), 1.0);
+}
+
+/** Lines of one single-rank DDR4 bank: @p count distinct columns of
+ * @p row, found by decoding rather than assuming the address layout. */
+std::vector<Addr>
+linesInRow(const Timing &t, unsigned row, unsigned count)
+{
+    const LocalAddressMap map(t, 1, 64);
+    const DramCoord want = map.decode(0);
+    std::vector<Addr> out;
+    for (Addr a = 0; out.size() < count && a < (Addr(1) << 34); a += 64) {
+        const DramCoord c = map.decode(a);
+        if (c.row == row && c.flatBank(t) == want.flatBank(t))
+            out.push_back(a);
+    }
+    EXPECT_EQ(out.size(), count);
+    return out;
+}
+
+/** Enqueue reads of @p lines all at once and run them to completion. */
+void
+readAll(EventQueue &eq, DramController &ctrl,
+        const std::vector<Addr> &lines)
+{
+    unsigned done = 0;
+    for (const Addr a : lines) {
+        DramRequest req;
+        req.local = a;
+        req.done = [&] { ++done; };
+        ASSERT_TRUE(ctrl.enqueue(std::move(req)));
+    }
+    while (done < lines.size() && eq.step()) {
+    }
+    EXPECT_EQ(done, lines.size());
+}
+
+TEST_F(ControllerTest, SameRowRequestsAfterTheFirstAreRowHits)
+{
+    const unsigned n = 8;
+    readAll(eq, *ctrl, linesInRow(timing, 0, n));
+    EXPECT_DOUBLE_EQ(reg.scalar("ctl.activates"), 1.0);
+    EXPECT_DOUBLE_EQ(reg.scalar("ctl.rowHits"), n - 1.0);
+}
+
+TEST(Controller, AlternatingRowsUnderFcfsNeverHit)
+{
+    EventQueue eq;
+    stats::Registry reg;
+    const Timing t = Timing::preset("DDR4_2400");
+    DramController ctrl(eq, "ctl", t, 1, 64, reg.group("ctl"), "FCFS");
+    const auto row0 = linesInRow(t, 0, 3);
+    const auto row1 = linesInRow(t, 1, 3);
+    readAll(eq, ctrl,
+            {row0[0], row1[0], row0[1], row1[1], row0[2], row1[2]});
+    EXPECT_DOUBLE_EQ(reg.scalar("ctl.activates"), 6.0);
+    EXPECT_DOUBLE_EQ(reg.scalar("ctl.rowHits"), 0.0);
 }
 
 TEST_F(ControllerTest, BackpressureAndUnblockCallback)
