@@ -34,6 +34,18 @@ runOnce(SystemConfig cfg, const std::string &wl_name,
     return runner.run();
 }
 
+const char *
+fabricLabel(IdcMethod m)
+{
+    switch (m) {
+      case IdcMethod::CpuForwarding: return "Mcn";
+      case IdcMethod::DedicatedBus: return "Aim";
+      case IdcMethod::ChannelBroadcast: return "Abc";
+      case IdcMethod::DimmLink: return "DimmLink";
+    }
+    return "x";
+}
+
 class FabricIntegration : public ::testing::TestWithParam<IdcMethod>
 {
 };
@@ -55,21 +67,22 @@ INSTANTIATE_TEST_SUITE_P(
                       IdcMethod::DedicatedBus,
                       IdcMethod::ChannelBroadcast,
                       IdcMethod::DimmLink),
-    [](const auto &info) {
-        switch (info.param) {
-          case IdcMethod::CpuForwarding: return "Mcn";
-          case IdcMethod::DedicatedBus: return "Aim";
-          case IdcMethod::ChannelBroadcast: return "Abc";
-          case IdcMethod::DimmLink: return "DimmLink";
-        }
-        return "x";
-    });
+    [](const auto &info) { return fabricLabel(info.param); });
 
 struct CrossCase
 {
     const char *workload;
     IdcMethod method;
 };
+
+/** Prints the case by value: gtest's default byte dump would put the
+ * address of the workload string into the listed test name, which
+ * then changes with every unrelated change to the binary's layout. */
+void
+PrintTo(const CrossCase &c, std::ostream *os)
+{
+    *os << c.workload << " on " << fabricLabel(c.method);
+}
 
 class WorkloadFabricMatrix
     : public ::testing::TestWithParam<CrossCase>
@@ -109,14 +122,8 @@ INSTANTIATE_TEST_SUITE_P(
         CrossCase{"kmeans", IdcMethod::DedicatedBus},
         CrossCase{"bfs", IdcMethod::DimmLink}),
     [](const auto &info) {
-        std::string m;
-        switch (info.param.method) {
-          case IdcMethod::CpuForwarding: m = "Mcn"; break;
-          case IdcMethod::DedicatedBus: m = "Aim"; break;
-          case IdcMethod::ChannelBroadcast: m = "Abc"; break;
-          case IdcMethod::DimmLink: m = "DimmLink"; break;
-        }
-        return std::string(info.param.workload) + "_" + m;
+        return std::string(info.param.workload) + "_" +
+               fabricLabel(info.param.method);
     });
 
 TEST(Determinism, IdenticalRunsProduceIdenticalTiming)

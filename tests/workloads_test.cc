@@ -162,6 +162,15 @@ struct VerifyCase
     bool broadcast;
 };
 
+/** Prints the case by value: gtest's default byte dump would put the
+ * address of the name string into the listed test name, which then
+ * changes with every unrelated change to the binary's layout. */
+void
+PrintTo(const VerifyCase &c, std::ostream *os)
+{
+    *os << c.name << "/" << c.scale << (c.broadcast ? "/bc" : "");
+}
+
 class KernelVerify : public ::testing::TestWithParam<VerifyCase>
 {
 };
