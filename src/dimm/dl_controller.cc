@@ -29,21 +29,6 @@ DlController::allocTag()
 }
 
 void
-DlController::sendReliable(
-    proto::Packet pkt,
-    std::function<void(const proto::Packet &,
-                       std::vector<std::uint8_t>)> transmit,
-    std::function<void()> on_acked, std::function<void()> on_failed)
-{
-    ++statPacketized;
-    retry.send(std::move(pkt),
-               [tx = std::move(transmit)](const proto::Packet &p) {
-                   tx(p, proto::encode(p));
-               },
-               std::move(on_acked), std::move(on_failed));
-}
-
-void
 DlController::onWireArrive(
     const std::vector<std::uint8_t> &wire, bool corrupted,
     std::function<void(const proto::Packet &)> send_control,

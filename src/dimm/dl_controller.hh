@@ -42,19 +42,29 @@ class DlController
 
     /**
      * Packetize a remote request/response and hand the wire image to
-     * @p transmit under DLL retry protection. @p transmit receives the
-     * sequence-stamped packet plus its freshly encoded wire image —
-     * fresh on every retry, so a retransmission never re-sends a
+     * @p transmit under DLL retry protection. @p transmit is called as
+     * `transmit(const proto::Packet &, std::vector<std::uint8_t>)` with
+     * the sequence-stamped packet plus its freshly encoded wire image
+     * — fresh on every retry, so a retransmission never re-sends a
      * corrupted buffer. @p on_acked fires when the destination's ACK
      * returns; @p on_failed (optional) fires when the retry budget is
-     * exhausted, instead of panicking.
+     * exhausted, instead of panicking. The retry engine stores
+     * @p transmit wrapped in one std::function, so a callable that
+     * captures only a pointer and a handle stays allocation-free.
      */
-    void sendReliable(proto::Packet pkt,
-                      std::function<void(const proto::Packet &,
-                                         std::vector<std::uint8_t>)>
-                          transmit,
-                      std::function<void()> on_acked,
-                      std::function<void()> on_failed = nullptr);
+    template <typename Transmit>
+    void
+    sendReliable(proto::Packet pkt, Transmit transmit,
+                 std::function<void()> on_acked,
+                 std::function<void()> on_failed = nullptr)
+    {
+        ++statPacketized;
+        retry.send(std::move(pkt),
+                   [tx = std::move(transmit)](const proto::Packet &p) {
+                       tx(p, proto::encode(p));
+                   },
+                   std::move(on_acked), std::move(on_failed));
+    }
 
     /**
      * A wire image arrived from the bridge. Validates CRC, emits the

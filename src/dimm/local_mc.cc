@@ -84,27 +84,46 @@ LocalMc::drainPending()
 
 void
 LocalMc::dramAccess(Addr local, std::uint32_t bytes, bool is_write,
-                    std::function<void()> done)
+                    EventCallback done)
 {
     const Addr first = roundDown(local, lineBytes);
     const Addr last = roundDown(local + bytes - 1, lineBytes);
-    const auto lines =
-        static_cast<std::size_t>((last - first) / lineBytes) + 1;
-
-    auto remaining = std::make_shared<std::size_t>(lines);
-    auto done_sh =
-        std::make_shared<std::function<void()>>(std::move(done));
-    for (Addr a = first; a <= last; a += lineBytes) {
-        enqueueLine(a, is_write, [remaining, done_sh] {
-            if (--*remaining == 0 && *done_sh)
-                (*done_sh)();
-        });
+    if (first == last) {
+        // One line: its DRAM completion is the access's completion.
+        enqueueLine(first, is_write,
+                    done ? std::move(done) : EventCallback([] {}));
+        return;
     }
+    std::uint32_t span;
+    if (freeSpans.empty()) {
+        span = static_cast<std::uint32_t>(spans.size());
+        spans.emplace_back();
+    } else {
+        span = freeSpans.back();
+        freeSpans.pop_back();
+    }
+    spans[span].remaining =
+        static_cast<std::size_t>((last - first) / lineBytes) + 1;
+    spans[span].done = std::move(done);
+    for (Addr a = first; a <= last; a += lineBytes)
+        enqueueLine(a, is_write, [this, span] { lineDone(span); });
+}
+
+void
+LocalMc::lineDone(std::uint32_t span)
+{
+    Span &s = spans[span];
+    if (--s.remaining != 0)
+        return;
+    EventCallback done = std::move(s.done);
+    freeSpans.push_back(span);
+    if (done)
+        done();
 }
 
 void
 LocalMc::access(Addr global, std::uint32_t bytes, bool is_write,
-                std::function<void()> done)
+                EventCallback done)
 {
     const DimmId target = gmap.dimmOf(global);
     if (target == self) {
@@ -141,7 +160,7 @@ LocalMc::access(Addr global, std::uint32_t bytes, bool is_write,
 
 void
 LocalMc::remoteAccess(Addr local, std::uint32_t bytes, bool is_write,
-                      std::function<void()> done)
+                      EventCallback done)
 {
     if (is_write) {
         ++statLocalWrites;
@@ -155,7 +174,7 @@ LocalMc::remoteAccess(Addr local, std::uint32_t bytes, bool is_write,
 void
 LocalMc::postedWrite(Addr global, std::uint32_t bytes)
 {
-    access(global, bytes, /*is_write=*/true, nullptr);
+    access(global, bytes, /*is_write=*/true, EventCallback{});
 }
 
 bool

@@ -10,12 +10,11 @@
 #ifndef DIMMLINK_DIMM_LOCAL_MC_HH
 #define DIMMLINK_DIMM_LOCAL_MC_HH
 
-#include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "dram/address_map.hh"
 #include "dram/dram_controller.hh"
@@ -41,7 +40,7 @@ class LocalMc
      * remote spans to the fabric; @p done fires when all complete.
      */
     void access(Addr global, std::uint32_t bytes, bool is_write,
-                std::function<void()> done);
+                EventCallback done);
 
     /** True when @p global maps to a different DIMM. */
     bool isRemote(Addr global) const
@@ -54,7 +53,7 @@ class LocalMc
      * needs @p bytes of local DRAM access at DIMM-local @p local.
      */
     void remoteAccess(Addr local, std::uint32_t bytes, bool is_write,
-                      std::function<void()> done);
+                      EventCallback done);
 
     /** Posted write (cache victim writeback): no completion needed. */
     void postedWrite(Addr global, std::uint32_t bytes);
@@ -77,7 +76,9 @@ class LocalMc
     /** Split a DIMM-local span into line accesses on the rank
      * controllers; @p done fires when the last line completes. */
     void dramAccess(Addr local, std::uint32_t bytes, bool is_write,
-                    std::function<void()> done);
+                    EventCallback done);
+    /** One line of a multi-line access completed. */
+    void lineDone(std::uint32_t span);
 
     void enqueueLine(Addr line_addr, bool is_write,
                      EventCallback done);
@@ -98,7 +99,21 @@ class LocalMc
     std::vector<std::unique_ptr<dram::DramController>> rankCtrl;
 
     /** The transaction buffer (Fig. 6, component 1). */
-    std::deque<PendingLine> pending;
+    Ring<PendingLine> pending;
+
+    /**
+     * Multi-line accesses in flight: the lines still outstanding and
+     * the access's completion. Each line's DRAM completion captures
+     * only its span's index (slots are recycled through freeSpans),
+     * so the fan-in needs no shared heap state.
+     */
+    struct Span
+    {
+        std::size_t remaining = 0;
+        EventCallback done;
+    };
+    std::vector<Span> spans;
+    std::vector<std::uint32_t> freeSpans;
 
     stats::Scalar &statLocalReads;
     stats::Scalar &statLocalWrites;

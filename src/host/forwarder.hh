@@ -10,11 +10,10 @@
 #ifndef DIMMLINK_HOST_FORWARDER_HH
 #define DIMMLINK_HOST_FORWARDER_HH
 
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "host/channel.hh"
 #include "sim/event_queue.hh"
@@ -39,7 +38,7 @@ class Forwarder
      * written into the destination DIMM's packet buffer.
      */
     void forward(DimmId src, DimmId dst, unsigned bytes,
-                 std::function<void()> delivered);
+                 EventCallback delivered);
 
     /**
      * Host-performed remote access for the MCN-style baselines: the
@@ -47,8 +46,7 @@ class Forwarder
      * the requester, or vice versa. Same cost structure as forward().
      */
     void
-    copy(DimmId src, DimmId dst, unsigned bytes,
-         std::function<void()> delivered)
+    copy(DimmId src, DimmId dst, unsigned bytes, EventCallback delivered)
     {
         forward(src, dst, bytes, std::move(delivered));
     }
@@ -62,7 +60,7 @@ class Forwarder
         DimmId src;
         DimmId dst;
         unsigned bytes;
-        std::function<void()> delivered;
+        EventCallback delivered;
         std::uint64_t traceId = 0;
     };
 
@@ -72,7 +70,7 @@ class Forwarder
     EventQueue &eventq;
     const SystemConfig &cfg;
     std::vector<Channel *> channels;
-    std::deque<Job> jobs;
+    Ring<Job> jobs;
     /** Busy-until tick of each host forwarding thread. */
     std::vector<Tick> workerFreeAt;
 

@@ -42,31 +42,36 @@ AbcFabric::submit(Transaction t)
 void
 AbcFabric::execute(Transaction t, Tick started)
 {
-    auto finish = [this, cb = std::move(t.onComplete), started]() {
+    auto finish = [this, cb = std::move(t.onComplete), started]() mutable {
         statLatencyPs.sample(
             static_cast<double>(eventq.now() - started));
         if (cb)
             cb();
     };
 
+    const DimmId src = t.src, dst = t.dst;
+    const Addr addr = t.addr;
+    const std::uint32_t bytes = t.bytes;
     switch (t.type) {
       case Transaction::Type::RemoteRead:
         // P2P cannot use the broadcast bus: plain CPU forwarding.
-        statBytesViaHost += t.bytes;
-        memAccess(t.dst, t.addr, t.bytes, /*is_write=*/false,
-                  [this, t, finish]() mutable {
-                      path.forwarder().copy(t.dst, t.src, t.bytes,
-                                            finish);
+        statBytesViaHost += bytes;
+        memAccess(dst, addr, bytes, /*is_write=*/false,
+                  [this, src, dst, bytes,
+                   finish = std::move(finish)]() mutable {
+                      path.forwarder().copy(dst, src, bytes,
+                                            std::move(finish));
                   });
         break;
 
       case Transaction::Type::RemoteWrite:
-        statBytesViaHost += t.bytes;
+        statBytesViaHost += bytes;
         path.forwarder().copy(
-            t.src, t.dst, t.bytes,
-            [this, t, finish]() mutable {
-                memAccess(t.dst, t.addr, t.bytes, /*is_write=*/true,
-                          finish);
+            src, dst, bytes,
+            [this, dst, addr, bytes,
+             finish = std::move(finish)]() mutable {
+                memAccess(dst, addr, bytes, /*is_write=*/true,
+                          std::move(finish));
             });
         break;
 
@@ -76,27 +81,26 @@ AbcFabric::execute(Transaction t, Tick started)
         break;
 
       case Transaction::Type::SyncMessage:
-        statBytesViaHost += t.bytes;
-        path.forwarder().copy(t.src, t.dst, t.bytes, finish);
+        statBytesViaHost += bytes;
+        path.forwarder().copy(src, dst, bytes, std::move(finish));
         break;
     }
 }
 
 void
-AbcFabric::executeBroadcast(Transaction t, std::function<void()> finish)
+AbcFabric::executeBroadcast(Transaction t, EventCallback finish)
 {
-    auto finish_sh =
-        std::make_shared<std::function<void()>>(std::move(finish));
     memAccess(
         t.src, t.addr, t.bytes, /*is_write=*/false,
-        [this, t, finish_sh]() mutable {
+        [this, src = t.src, bytes = t.bytes,
+         finish = std::move(finish)]() mutable {
             // Broadcast-read on the source channel: one occupancy
             // delivers the data to every sibling DIMM there, and the
             // host receives a copy off the shared bus.
-            const ChannelId src_ch = cfg.channelOf(t.src);
+            const ChannelId src_ch = cfg.channelOf(src);
             ++statChannelBroadcasts;
-            statBytesViaHost += t.bytes;
-            Tick last = channels[src_ch]->transfer(t.bytes);
+            statBytesViaHost += bytes;
+            Tick last = channels[src_ch]->transfer(bytes);
 
             // Broadcast-write on every other channel: the host pushes
             // the payload once per channel; the multi-drop bus fans it
@@ -106,14 +110,14 @@ AbcFabric::executeBroadcast(Transaction t, std::function<void()> finish)
                 if (c == src_ch)
                     continue;
                 ++statChannelBroadcasts;
-                statBytesViaHost += t.bytes;
+                statBytesViaHost += bytes;
                 const Tick end = channels[c]->occupy(
-                    serializationTicks(t.bytes,
+                    serializationTicks(bytes,
                                        channels[c]->bandwidthGBps()),
                     eventq.now() + cfg.host.forwardLatencyPs);
                 last = std::max(last, end);
             }
-            eventq.schedule(last, [finish_sh] { (*finish_sh)(); },
+            eventq.schedule(last, std::move(finish),
                             EventPriority::Delivery);
         });
 }

@@ -31,7 +31,7 @@ class AbcFabric : public Fabric
   private:
     void execute(Transaction t, Tick started);
     void executeBroadcast(Transaction t,
-                          std::function<void()> finish);
+                          EventCallback finish);
 
     std::vector<host::Channel *> channels;
     CpuForwardPath path;

@@ -36,13 +36,16 @@ AimFabric::submit(Transaction t)
 {
     ++statTransactions;
     const Tick started = eventq.now();
-    auto finish = [this, cb = std::move(t.onComplete), started]() {
+    auto finish = [this, cb = std::move(t.onComplete), started]() mutable {
         statLatencyPs.sample(
             static_cast<double>(eventq.now() - started));
         if (cb)
             cb();
     };
 
+    const DimmId src = t.src, dst = t.dst;
+    const Addr addr = t.addr;
+    const std::uint32_t bytes = t.bytes;
     switch (t.type) {
       case Transaction::Type::RemoteRead: {
         // Broadcast the command; the owner snoops it, fetches from
@@ -50,12 +53,12 @@ AimFabric::submit(Transaction t)
         const Tick cmd_done = busTransfer(cmdBytes);
         eventq.schedule(
             cmd_done,
-            [this, t, finish]() mutable {
-                memAccess(t.dst, t.addr, t.bytes, /*is_write=*/false,
-                          [this, t, finish]() mutable {
-                              const Tick data_done =
-                                  busTransfer(t.bytes);
-                              eventq.schedule(data_done, finish,
+            [this, dst, addr, bytes, finish = std::move(finish)]() mutable {
+                memAccess(dst, addr, bytes, /*is_write=*/false,
+                          [this, bytes,
+                           finish = std::move(finish)]() mutable {
+                              const Tick data_done = busTransfer(bytes);
+                              eventq.schedule(data_done, std::move(finish),
                                               EventPriority::Delivery);
                           });
             },
@@ -63,12 +66,12 @@ AimFabric::submit(Transaction t)
         break;
       }
       case Transaction::Type::RemoteWrite: {
-        const Tick done = busTransfer(cmdBytes + t.bytes);
+        const Tick done = busTransfer(cmdBytes + bytes);
         eventq.schedule(
             done,
-            [this, t, finish]() mutable {
-                memAccess(t.dst, t.addr, t.bytes, /*is_write=*/true,
-                          finish);
+            [this, dst, addr, bytes, finish = std::move(finish)]() mutable {
+                memAccess(dst, addr, bytes, /*is_write=*/true,
+                          std::move(finish));
             },
             EventPriority::Control);
         break;
@@ -76,17 +79,17 @@ AimFabric::submit(Transaction t)
       case Transaction::Type::Broadcast: {
         // AIM-BC: one bus occupancy reaches every snooping DIMM.
         ++statBroadcasts;
-        memAccess(t.src, t.addr, t.bytes, /*is_write=*/false,
-                  [this, t, finish]() mutable {
-                      const Tick done = busTransfer(cmdBytes + t.bytes);
-                      eventq.schedule(done, finish,
+        memAccess(src, addr, bytes, /*is_write=*/false,
+                  [this, bytes, finish = std::move(finish)]() mutable {
+                      const Tick done = busTransfer(cmdBytes + bytes);
+                      eventq.schedule(done, std::move(finish),
                                       EventPriority::Delivery);
                   });
         break;
       }
       case Transaction::Type::SyncMessage: {
-        const Tick done = busTransfer(t.bytes);
-        eventq.schedule(done, finish, EventPriority::Delivery);
+        const Tick done = busTransfer(bytes);
+        eventq.schedule(done, std::move(finish), EventPriority::Delivery);
         break;
       }
     }

@@ -21,6 +21,13 @@ flitsFor(std::uint64_t bytes)
                    (bytes + proto::flitBytes - 1) / proto::flitBytes);
 }
 
+/** Home slot hash of a DLL waiting-table key. */
+std::size_t
+dllHash(std::uint64_t key)
+{
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32);
+}
+
 /** Polling targets: one proxy per group, or every DIMM. */
 std::vector<DimmId>
 pollTargets(const SystemConfig &cfg)
@@ -78,12 +85,12 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
     }
     const unsigned gs = cfg.groupSize();
     const unsigned groups = cfg.numGroups();
-    injectQ.assign(groups, {});
+    injectQ.resize(groups);
     for (unsigned g = 0; g < groups; ++g) {
         nets.push_back(std::make_unique<noc::Network>(
             eventq, "fabric.dl.group" + std::to_string(g), cfg.link, gs,
             reg, &cfg.faults));
-        injectQ[g].assign(gs, {});
+        injectQ[g].resize(gs);
         for (unsigned node = 0; node < gs; ++node) {
             nets[g]->setRetryHandler(
                 static_cast<int>(node), [this, g, node] {
@@ -220,10 +227,11 @@ DlFabric::onHealthTransition(unsigned group, int a, int b,
     }
 }
 
-std::vector<std::pair<int, int>>
-DlFabric::routePath(unsigned group, int from, int to) const
+void
+DlFabric::routePath(unsigned group, int from, int to,
+                    std::vector<std::pair<int, int>> &edges) const
 {
-    std::vector<std::pair<int, int>> edges;
+    edges.clear();
     const auto &graph = nets[group]->graph();
     int cur = from;
     // Bounded by the node count: the tables are cycle-free.
@@ -234,7 +242,6 @@ DlFabric::routePath(unsigned group, int from, int to) const
         edges.emplace_back(cur, next);
         cur = next;
     }
-    return edges;
 }
 
 DimmId
@@ -309,11 +316,127 @@ DlFabric::distance(DimmId j, DimmId k) const
     return fwd / per_hop;
 }
 
+DlFabric::XferId
+DlFabric::newXfer()
+{
+    XferId h;
+    if (freeXferHead != ~0u) {
+        h.idx = freeXferHead;
+        freeXferHead = xfer(h).nextFree;
+    } else {
+        if (xferSlots % xferChunkSize == 0)
+            xferChunks.push_back(std::make_unique<Xfer[]>(xferChunkSize));
+        h.idx = xferSlots++;
+    }
+    Xfer &x = xfer(h);
+    x.live = true;
+    h.gen = x.gen;
+    ++liveXfers;
+    return h;
+}
+
+void
+DlFabric::freeXfer(XferId h)
+{
+    Xfer &x = xfer(h);
+    // Reset every field for the next user, keeping only the route's
+    // capacity (so DLL exchanges stop allocating once warm) and a
+    // bumped generation that turns outstanding handles stale.
+    auto route = std::move(x.route);
+    route.clear();
+    const std::uint32_t gen = x.gen + 1;
+    x = Xfer{};
+    x.route = std::move(route);
+    x.gen = gen;
+    x.nextFree = freeXferHead;
+    freeXferHead = h.idx;
+    --liveXfers;
+}
+
+EventCallback
+DlFabric::claim(XferId h)
+{
+    EventCallback next = std::move(xfer(h).next);
+    freeXfer(h);
+    return next;
+}
+
+void
+DlFabric::partDone(XferId h)
+{
+    if (--xfer(h).remaining != 0)
+        return;
+    EventCallback next = claim(h);
+    if (next)
+        next();
+}
+
+noc::Message
+DlFabric::packetOf(XferId h)
+{
+    const Xfer &x = xfer(h);
+    noc::Message msg;
+    msg.src = nodeIdx(x.src);
+    msg.dst = x.broadcast ? 0 : nodeIdx(x.dst);
+    msg.broadcast = x.broadcast;
+    msg.flits = x.flits;
+    msg.id = x.msgId;
+    msg.wire = x.wire;
+    return msg;
+}
+
+void
+DlFabric::schedulePacket(XferId h, PacketKind kind)
+{
+    // NW-interface packetization before hitting the router.
+    eventq.scheduleIn(packetizeDelay(xfer(h).flits),
+                      [this, h, kind] { injectPacket(h, kind); },
+                      EventPriority::Control);
+}
+
+void
+DlFabric::injectPacket(XferId h, PacketKind kind)
+{
+    noc::Message msg = packetOf(h);
+    switch (kind) {
+      case PacketKind::Data:
+        msg.deliver = [this, h](int) {
+            // NW-interface CRC check + decode at the destination.
+            eventq.scheduleIn(decodeDelay(xfer(h).flits),
+                              [this, h] { packetDecoded(h); },
+                              EventPriority::Control);
+        };
+        break;
+      case PacketKind::Broadcast:
+        msg.deliver = [this, h](int node) { broadcastEjected(h, node); };
+        break;
+      case PacketKind::DllData:
+        msg.deliver = [this, h](int) {
+            eventq.scheduleIn(decodeDelay(xfer(h).flits),
+                              [this, h] { dllDecoded(h); },
+                              EventPriority::Control);
+        };
+        // A dropped image is recovered by the sender's retry timeout;
+        // only its record needs returning.
+        msg.onDropped = [this, h] { freeXfer(h); };
+        break;
+      case PacketKind::DllControl:
+        msg.deliver = [this, h](int) {
+            eventq.scheduleIn(decodeDelay(xfer(h).flits),
+                              [this, h] { controlDecoded(h); },
+                              EventPriority::Control);
+        };
+        msg.onDropped = [this, h] { freeXfer(h); };
+        break;
+    }
+    inject(groupIdx(xfer(h).src), std::move(msg));
+}
+
 void
 DlFabric::inject(unsigned group, noc::Message msg)
 {
     auto &q = injectQ[group][static_cast<std::size_t>(msg.src)];
-    if (!q.empty() || !nets[group]->tryInject(msg))
+    if (!q.empty() || !nets[group]->tryInject(std::move(msg)))
         q.push_back(std::move(msg));
 }
 
@@ -322,7 +445,7 @@ DlFabric::drainInjectQueue(unsigned group, int node)
 {
     auto &q = injectQ[group][static_cast<std::size_t>(node)];
     while (!q.empty()) {
-        if (!nets[group]->tryInject(q.front()))
+        if (!nets[group]->tryInject(std::move(q.front())))
             return;
         q.pop_front();
     }
@@ -331,7 +454,7 @@ DlFabric::drainInjectQueue(unsigned group, int node)
 void
 DlFabric::sendIntraGroup(DimmId s, DimmId d,
                          std::uint64_t payload_bytes,
-                         std::function<void()> delivered)
+                         EventCallback delivered)
 {
     const unsigned group = groupIdx(s);
     if (group != groupIdx(d))
@@ -348,25 +471,40 @@ DlFabric::sendIntraGroup(DimmId s, DimmId d,
 
     // Segment into <=256-byte packets; the last delivery completes
     // the transfer (paths are deterministic and FIFO, but count for
-    // safety).
+    // safety). A single packet completes the transfer itself.
+    const std::uint64_t packets =
+        payload_bytes == 0
+            ? 1
+            : (payload_bytes + proto::maxPayloadBytes - 1) /
+                  proto::maxPayloadBytes;
+    XferId fan;
+    if (packets > 1) {
+        fan = newXfer();
+        xfer(fan).remaining = static_cast<std::uint32_t>(packets);
+        xfer(fan).next = std::move(delivered);
+    }
+
     std::uint64_t left = payload_bytes;
-    std::vector<std::uint64_t> chunks;
     do {
         const std::uint64_t c =
             std::min<std::uint64_t>(left, proto::maxPayloadBytes);
-        chunks.push_back(c);
         left -= c;
-    } while (left > 0);
+        const unsigned flits = flitsFor(c);
+        const XferId pk = newXfer();
+        Xfer &x = xfer(pk);
+        x.src = s;
+        x.dst = d;
+        x.flits = flits;
+        x.remaining = 1;
+        if (packets > 1)
+            x.next = [this, fan] { partDone(fan); };
+        else
+            x.next = std::move(delivered);
 
-    auto remaining = std::make_shared<std::size_t>(chunks.size());
-    auto done =
-        std::make_shared<std::function<void()>>(std::move(delivered));
-
-    if (dllPath) {
-        // Reliable transport: each chunk becomes a real DL packet
-        // whose wire image crosses the (possibly faulty) bridge under
-        // CRC + retry protection.
-        for (const std::uint64_t c : chunks) {
+        if (dllPath) {
+            // Reliable transport: each chunk becomes a real DL packet
+            // whose wire image crosses the (possibly faulty) bridge
+            // under CRC + retry protection.
             proto::Packet pkt;
             pkt.src = static_cast<std::uint8_t>(s);
             pkt.dst = static_cast<std::uint8_t>(d);
@@ -376,244 +514,335 @@ DlFabric::sendIntraGroup(DimmId s, DimmId d,
             pkt.payload.assign(static_cast<std::size_t>(c), 0);
             ++statPacketsLink;
             statBytesViaLink +=
-                static_cast<double>(flitsFor(c)) * proto::flitBytes;
-            std::uint64_t aid = 0;
+                static_cast<double>(flits) * proto::flitBytes;
             if (tr) {
-                aid = tr->nextAsyncId();
-                tr->asyncBegin(trk, nmDllXfer, eventq.now(), aid);
+                x.aid = tr->nextAsyncId();
+                tr->asyncBegin(trk, nmDllXfer, eventq.now(), x.aid);
             }
-            sendDllPacket(s, d, std::move(pkt),
-                          [this, remaining, done, aid] {
-                              if (tr)
-                                  tr->asyncEnd(trk, nmDllXfer,
-                                               eventq.now(), aid);
-                              if (--*remaining == 0 && *done)
-                                  (*done)();
-                          });
+            sendDllPacket(s, d, std::move(pkt), [this, pk] {
+                if (tr)
+                    tr->asyncEnd(trk, nmDllXfer, eventq.now(),
+                                 xfer(pk).aid);
+                partDone(pk);
+            });
+            continue;
         }
-        return;
-    }
 
-    for (const std::uint64_t c : chunks) {
-        const unsigned flits = flitsFor(c);
-        noc::Message msg;
-        msg.src = nodeIdx(s);
-        msg.dst = nodeIdx(d);
-        msg.flits = flits;
-        msg.id = nextMsgId++;
+        x.msgId = nextMsgId++;
         ++statPacketsLink;
-        statBytesViaLink +=
-            static_cast<double>(flits) * proto::flitBytes;
+        statBytesViaLink += static_cast<double>(flits) * proto::flitBytes;
         // Packet lifetime span: packetize begin -> decoded at d.
-        std::uint64_t aid = 0;
         if (tr) {
-            aid = tr->nextAsyncId();
-            tr->asyncBegin(trk, nmPacket, eventq.now(), aid);
+            x.aid = tr->nextAsyncId();
+            tr->asyncBegin(trk, nmPacket, eventq.now(), x.aid);
         }
-        msg.deliver = [this, flits, remaining, done, aid](int) {
-            // NW-interface CRC check + decode at the destination.
-            eventq.scheduleIn(decodeDelay(flits),
-                              [this, remaining, done, aid] {
-                                  if (tr)
-                                      tr->asyncEnd(trk, nmPacket,
-                                                   eventq.now(), aid);
-                                  if (--*remaining == 0 && *done)
-                                      (*done)();
-                              },
-                              EventPriority::Control);
-        };
-        // NW-interface packetization before hitting the router.
-        eventq.scheduleIn(packetizeDelay(flits),
-                          [this, group, msg = std::move(msg)]() mutable {
-                              inject(group, std::move(msg));
-                          },
-                          EventPriority::Control);
-    }
+        schedulePacket(pk, PacketKind::Data);
+    } while (left > 0);
+}
+
+void
+DlFabric::packetDecoded(XferId h)
+{
+    if (tr)
+        tr->asyncEnd(trk, nmPacket, eventq.now(), xfer(h).aid);
+    partDone(h);
 }
 
 void
 DlFabric::hostFallback(DimmId s, DimmId d, std::uint64_t payload_bytes,
-                       std::function<void()> delivered)
+                       EventCallback delivered)
 {
     ++*statHostReroutes;
     const auto wire = static_cast<unsigned>(wireBytesFor(payload_bytes));
     ++statPacketsHost;
     statBytesViaHost += wire;
-    auto cb = std::make_shared<std::function<void()>>(
-        std::move(delivered));
-    requestForward(s, [this, s, d, wire, cb] {
-        path.forwarder().forward(s, d, wire, [cb] {
-            if (*cb)
-                (*cb)();
-        });
-    });
+    const XferId leg = newXfer();
+    xfer(leg).src = s;
+    xfer(leg).dst = d;
+    xfer(leg).bytes = wire;
+    xfer(leg).next = std::move(delivered);
+    requestForward(s, [this, leg] { hostLegDiscovered(leg); });
+}
+
+void
+DlFabric::hostLegDiscovered(XferId h)
+{
+    const DimmId s = xfer(h).src;
+    const DimmId d = xfer(h).dst;
+    const unsigned wire = xfer(h).bytes;
+    path.forwarder().forward(s, d, wire, claim(h));
 }
 
 void
 DlFabric::sendDllPacket(DimmId s, DimmId d, proto::Packet pkt,
-                        std::function<void()> delivered)
+                        EventCallback delivered)
 {
-    const unsigned group = groupIdx(s);
-    const std::uint64_t payload = pkt.payload.size();
-    auto cb = std::make_shared<std::function<void()>>(
-        std::move(delivered));
-    // The sequence number is stamped at admission (possibly after
-    // window backpressure), so the waiting-table key is registered on
-    // the first transmission rather than here. The route is captured
-    // at the same moment: exhaustion must blame the path the transfer
-    // actually took, not whatever the tables say after a recompute.
-    auto key = std::make_shared<std::optional<DllKey>>();
-    auto route =
-        std::make_shared<std::vector<std::pair<int, int>>>();
-
+    // The exchange record has two owners: the retry engine (until the
+    // ACK or exhaustion) and the waiting claim (until the first
+    // in-order delivery or failure). The sequence number is stamped
+    // at admission (possibly after window backpressure), so the
+    // waiting-table key is registered on the first transmission
+    // rather than here. The route is captured at the same moment:
+    // exhaustion must blame the path the transfer actually took, not
+    // whatever the tables say after a recompute.
+    const XferId h = newXfer();
+    Xfer &x = xfer(h);
+    x.src = s;
+    x.dst = d;
+    x.bytes = static_cast<std::uint32_t>(pkt.payload.size());
+    x.remaining = 2;
+    x.next = std::move(delivered);
     dllCtl[s]->sendReliable(
         std::move(pkt),
-        [this, group, s, d, cb, key, route](const proto::Packet &p,
-                                            std::vector<std::uint8_t> wire) {
-            if (!key->has_value()) {
-                *key = DllKey{
-                    p.src, p.dst,
-                    static_cast<std::uint16_t>(p.dll & 0xffff)};
-                dllWaiting[**key] = cb;
-                *route = routePath(group, nodeIdx(s), nodeIdx(d));
-            } else if (tr) {
-                // The retry engine re-invoked transmit: a timeout or
-                // NACK retransmission of this sequence number.
-                tr->instant(trk, nmDllRetry, eventq.now(),
-                            p.dll & 0xffff);
-            }
-            const unsigned flits = p.numFlits();
-            noc::Message msg;
-            msg.src = nodeIdx(s);
-            msg.dst = nodeIdx(d);
-            msg.flits = flits;
-            msg.id = nextMsgId++;
-            // The encoded image travels with the message; fault
-            // models flip its real bits in flight. Each retry gets a
-            // freshly encoded (clean) image.
-            msg.wire = std::make_shared<std::vector<std::uint8_t>>(
-                std::move(wire));
-            msg.deliver = [this, d, flits, w = msg.wire](int) {
-                eventq.scheduleIn(decodeDelay(flits),
-                                  [this, d, w] { dllReceive(d, *w); },
-                                  EventPriority::Control);
-            };
-            eventq.scheduleIn(
-                packetizeDelay(flits),
-                [this, group, msg = std::move(msg)]() mutable {
-                    inject(group, std::move(msg));
-                },
-                EventPriority::Control);
+        [this, h](const proto::Packet &p, std::vector<std::uint8_t> wire) {
+            dllTransmit(h, p, std::move(wire));
         },
-        /*on_acked=*/[this, s, route] {
-            // An end-to-end ACK proves the route moved traffic:
-            // clear the consecutive-failure blame on its links so
-            // unrelated exhaustions cannot accumulate into a
-            // spurious Suspect over the whole run.
-            const unsigned g = groupIdx(s);
-            if (g < health.size() && health[g] && !route->empty())
-                health[g]->noteSuccess(*route);
-        },
-        /*on_failed=*/[this, s, d, payload, key, route] {
-            // Retry budget exhausted (e.g. a stuck link outliving the
-            // budget). Blame the route the transfer was admitted on so
-            // the health machinery can take the dead link out of the
-            // tables, then apply the configured exhaustion policy.
-            ++statDllFailedTransfers;
-            if (tr)
-                tr->instant(trk, nmDllFailed, eventq.now(),
-                            key->has_value()
-                                ? std::get<2>(**key)
-                                : std::uint64_t{0});
-            const unsigned g = groupIdx(s);
-            if (g < health.size() && health[g])
-                health[g]->noteExhausted(
-                    route->empty()
-                        ? routePath(g, nodeIdx(s), nodeIdx(d))
-                        : *route);
-            if (!key->has_value())
-                return;
-            auto it = dllWaiting.find(**key);
-            if (it == dllWaiting.end())
-                return; // Delivered earlier; only the ACKs kept dying.
-            auto cb2 = it->second;
-            dllWaiting.erase(it);
-            switch (exhaustPolicy) {
-              case ExhaustPolicy::Panic:
-                panic("DLL transfer %u -> %u (seq %u) exhausted its "
-                      "retry budget (faults.onExhausted=panic)",
-                      s, d, std::get<2>(**key));
-                break;
-              case ExhaustPolicy::Drop: {
-                // Complete the transfer unsent so the workload can
-                // terminate; the stat records the loss. The payload
-                // is gone, but the receiver must still move past the
-                // retired sequence or every later packet on the
-                // stream jams behind the gap once the link recovers —
-                // send a header-only resync note over the host path.
-                warnRateLimited(
-                    "dl-fabric-drop", 64,
-                    "DLL transfer %u -> %u dropped after retry "
-                    "exhaustion (faults.onExhausted=drop)",
-                    static_cast<unsigned>(s), static_cast<unsigned>(d));
-                if (cb2 && *cb2)
-                    (*cb2)();
-                const auto note =
-                    static_cast<unsigned>(wireBytesFor(0));
-                ++statPacketsHost;
-                statBytesViaHost += note;
-                const auto seq = std::get<2>(**key);
-                requestForward(s, [this, s, d, note, seq] {
-                    path.forwarder().forward(s, d, note,
-                                             [this, s, d, seq] {
-                                                 dllStreamResync(s, d,
-                                                                 seq);
-                                             });
-                });
-                break;
-              }
-              case ExhaustPolicy::Failover: {
-                // Re-submit the payload over the host CPU-forwarding
-                // path: slower, but the bytes really arrive and the
-                // completion chain stays intact. The forwarded image
-                // carries the DLL header, so its arrival also resyncs
-                // the receiver's stream past the retired sequence.
-                ++*statFailovers;
-                const auto wire =
-                    static_cast<unsigned>(wireBytesFor(payload));
-                *statFailoverBytes += wire;
-                ++statPacketsHost;
-                statBytesViaHost += wire;
-                if (tr)
-                    tr->instant(trk, nmFailover, eventq.now(),
-                                std::get<2>(**key));
-                const auto seq = std::get<2>(**key);
-                requestForward(s, [this, s, d, wire, cb2, seq] {
-                    path.forwarder().forward(
-                        s, d, wire, [this, s, d, seq, cb2] {
-                            dllStreamResync(s, d, seq);
-                            if (cb2 && *cb2)
-                                (*cb2)();
-                        });
-                });
-                break;
-              }
-            }
+        /*on_acked=*/[this, h] { dllAcked(h); },
+        /*on_failed=*/[this, h] { dllFailed(h); });
+}
+
+void
+DlFabric::dllTransmit(XferId h, const proto::Packet &p,
+                      std::vector<std::uint8_t> wire)
+{
+    const DimmId s = xfer(h).src;
+    const DimmId d = xfer(h).dst;
+    if (!xfer(h).keyed) {
+        Xfer &x = xfer(h);
+        x.keyed = true;
+        x.seq = static_cast<std::uint16_t>(p.dll & 0xffff);
+        dllInsert(dllKey(p.src, p.dst, x.seq), h);
+        routePath(groupIdx(s), nodeIdx(s), nodeIdx(d), x.route);
+    } else if (tr) {
+        // The retry engine re-invoked transmit: a timeout or NACK
+        // retransmission of this sequence number.
+        tr->instant(trk, nmDllRetry, eventq.now(), p.dll & 0xffff);
+    }
+    // The encoded image travels with the message; fault models flip
+    // its real bits in flight. Each retry gets a freshly encoded
+    // (clean) image.
+    const XferId img = newXfer();
+    Xfer &w = xfer(img);
+    w.src = s;
+    w.dst = d;
+    w.flits = p.numFlits();
+    w.msgId = nextMsgId++;
+    w.wire = std::make_shared<std::vector<std::uint8_t>>(std::move(wire));
+    schedulePacket(img, PacketKind::DllData);
+}
+
+void
+DlFabric::dllAcked(XferId h)
+{
+    // An end-to-end ACK proves the route moved traffic: clear the
+    // consecutive-failure blame on its links so unrelated exhaustions
+    // cannot accumulate into a spurious Suspect over the whole run.
+    const unsigned g = groupIdx(xfer(h).src);
+    if (g < health.size() && health[g] && !xfer(h).route.empty())
+        health[g]->noteSuccess(xfer(h).route);
+    dllRelease(h);
+}
+
+void
+DlFabric::dllRelease(XferId h)
+{
+    if (--xfer(h).remaining == 0)
+        freeXfer(h);
+}
+
+void
+DlFabric::dllFailed(XferId h)
+{
+    // Retry budget exhausted (e.g. a stuck link outliving the budget).
+    // Blame the route the transfer was admitted on so the health
+    // machinery can take the dead link out of the tables, then apply
+    // the configured exhaustion policy.
+    const DimmId s = xfer(h).src;
+    const DimmId d = xfer(h).dst;
+    const std::uint64_t payload = xfer(h).bytes;
+    const bool keyed = xfer(h).keyed;
+    const std::uint16_t seq = xfer(h).seq;
+    ++statDllFailedTransfers;
+    if (tr)
+        tr->instant(trk, nmDllFailed, eventq.now(),
+                    keyed ? seq : std::uint64_t{0});
+    const unsigned g = groupIdx(s);
+    if (g < health.size() && health[g]) {
+        auto &route = xfer(h).route;
+        if (route.empty())
+            routePath(g, nodeIdx(s), nodeIdx(d), route);
+        health[g]->noteExhausted(route);
+    }
+    if (!keyed) {
+        // Never admitted (cannot happen: exhaustion follows
+        // transmissions); nothing waits on it, so let go of both holds.
+        xfer(h).next.reset();
+        dllRelease(h);
+        dllRelease(h);
+        return;
+    }
+    const std::size_t slot = dllFind(dllKey(s, d, seq));
+    if (slot == dllSlots.size()) {
+        // Delivered earlier and only the ACKs kept dying: the retry
+        // engine's hold is all that is left.
+        dllRelease(h);
+        return;
+    }
+    dllErase(slot);
+    EventCallback cb = std::move(xfer(h).next);
+    dllRelease(h); // The waiting claim...
+    dllRelease(h); // ...and the retry engine.
+    switch (exhaustPolicy) {
+      case ExhaustPolicy::Panic:
+        panic("DLL transfer %u -> %u (seq %u) exhausted its retry "
+              "budget (faults.onExhausted=panic)",
+              s, d, seq);
+        break;
+      case ExhaustPolicy::Drop: {
+        // Complete the transfer unsent so the workload can terminate;
+        // the stat records the loss. The payload is gone, but the
+        // receiver must still move past the retired sequence or every
+        // later packet on the stream jams behind the gap once the
+        // link recovers — send a header-only resync note over the
+        // host path.
+        warnRateLimited("dl-fabric-drop", 64,
+                        "DLL transfer %u -> %u dropped after retry "
+                        "exhaustion (faults.onExhausted=drop)",
+                        static_cast<unsigned>(s),
+                        static_cast<unsigned>(d));
+        if (cb)
+            cb();
+        const auto note = static_cast<unsigned>(wireBytesFor(0));
+        ++statPacketsHost;
+        statBytesViaHost += note;
+        requestForward(s, [this, s, d, note, seq] {
+            path.forwarder().forward(s, d, note, [this, s, d, seq] {
+                dllStreamResync(s, d, seq);
+            });
         });
+        break;
+      }
+      case ExhaustPolicy::Failover: {
+        // Re-submit the payload over the host CPU-forwarding path:
+        // slower, but the bytes really arrive and the completion chain
+        // stays intact. The forwarded image carries the DLL header, so
+        // its arrival also resyncs the receiver's stream past the
+        // retired sequence.
+        ++*statFailovers;
+        const auto wire = static_cast<unsigned>(wireBytesFor(payload));
+        *statFailoverBytes += wire;
+        ++statPacketsHost;
+        statBytesViaHost += wire;
+        if (tr)
+            tr->instant(trk, nmFailover, eventq.now(), seq);
+        requestForward(s, [this, s, d, wire, seq,
+                           cb = std::move(cb)]() mutable {
+            path.forwarder().forward(
+                s, d, wire,
+                [this, s, d, seq, cb = std::move(cb)]() mutable {
+                    dllStreamResync(s, d, seq);
+                    if (cb)
+                        cb();
+                });
+        });
+        break;
+      }
+    }
+}
+
+std::size_t
+DlFabric::dllFind(std::uint64_t key) const
+{
+    if (dllSlots.empty())
+        return 0;
+    const std::size_t mask = dllSlots.size() - 1;
+    for (std::size_t i = dllHash(key) & mask;; i = (i + 1) & mask) {
+        if (dllSlots[i] == key)
+            return i;
+        if (dllSlots[i] == 0)
+            return dllSlots.size();
+    }
+}
+
+void
+DlFabric::dllInsert(std::uint64_t key, XferId h)
+{
+    if ((dllWaiting + 1) * 2 > dllSlots.size()) {
+        // Grow (and rehash) at half load; the table keeps its size
+        // for the rest of the run.
+        std::vector<std::uint64_t> keys(
+            std::max<std::size_t>(16, dllSlots.size() * 2), 0);
+        std::vector<XferId> vals(keys.size());
+        keys.swap(dllSlots);
+        vals.swap(dllSlotXfer);
+        dllWaiting = 0;
+        for (std::size_t i = 0; i < keys.size(); ++i)
+            if (keys[i] != 0)
+                dllInsert(keys[i], vals[i]);
+    }
+    const std::size_t mask = dllSlots.size() - 1;
+    std::size_t i = dllHash(key) & mask;
+    while (dllSlots[i] != 0 && dllSlots[i] != key)
+        i = (i + 1) & mask;
+    if (dllSlots[i] == key) {
+        // A sequence number reused while its previous exchange still
+        // waited (only after a full 16-bit wrap): the newer exchange
+        // takes the key and the older completion is dropped.
+        const XferId old = dllSlotXfer[i];
+        xfer(old).next.reset();
+        dllRelease(old);
+    } else {
+        ++dllWaiting;
+    }
+    dllSlots[i] = key;
+    dllSlotXfer[i] = h;
+}
+
+void
+DlFabric::dllErase(std::size_t slot)
+{
+    // Backward-shift deletion keeps every probe chain gapless.
+    const std::size_t mask = dllSlots.size() - 1;
+    std::size_t hole = slot;
+    for (std::size_t j = (hole + 1) & mask; dllSlots[j] != 0;
+         j = (j + 1) & mask) {
+        const std::size_t home = dllHash(dllSlots[j]) & mask;
+        // Move j into the hole unless its home lies cyclically in
+        // (hole, j].
+        const bool stays = hole <= j ? (hole < home && home <= j)
+                                     : (hole < home || home <= j);
+        if (stays)
+            continue;
+        dllSlots[hole] = dllSlots[j];
+        dllSlotXfer[hole] = dllSlotXfer[j];
+        hole = j;
+    }
+    dllSlots[hole] = 0;
+    --dllWaiting;
 }
 
 void
 DlFabric::completeDllDelivery(const proto::Packet &p)
 {
-    const DllKey k{p.src, p.dst,
-                   static_cast<std::uint16_t>(p.dll & 0xffff)};
-    auto it = dllWaiting.find(k);
-    if (it == dllWaiting.end())
+    const std::size_t slot = dllFind(
+        dllKey(p.src, p.dst, static_cast<std::uint16_t>(p.dll & 0xffff)));
+    if (slot == dllSlots.size())
         return; // Completed earlier (delivery, failover, or drop).
-    auto cb = it->second;
-    dllWaiting.erase(it);
-    if (cb && *cb)
-        (*cb)();
+    const XferId h = dllSlotXfer[slot];
+    dllErase(slot);
+    EventCallback cb = std::move(xfer(h).next);
+    dllRelease(h);
+    if (cb)
+        cb();
+}
+
+void
+DlFabric::dllDecoded(XferId h)
+{
+    const DimmId d = xfer(h).dst;
+    const auto wire = std::move(xfer(h).wire);
+    freeXfer(h);
+    dllReceive(d, *wire);
 }
 
 void
@@ -659,40 +888,36 @@ DlFabric::sendDllControl(DimmId from, const proto::Packet &ctrl)
         ++statDllCtrlDropped;
         return;
     }
-    const unsigned group = groupIdx(from);
-    const auto dst = static_cast<DimmId>(ctrl.dst);
-    noc::Message msg;
-    msg.src = nodeIdx(from);
-    msg.dst = nodeIdx(dst);
-    msg.flits = 1;
-    msg.id = nextMsgId++;
     // Control packets cross the same faulty links as data; a
     // corrupted ACK/NACK is dropped at the far end and the data
     // sender's retry timeout takes over.
-    msg.wire = std::make_shared<std::vector<std::uint8_t>>(
+    const XferId h = newXfer();
+    Xfer &x = xfer(h);
+    x.src = from;
+    x.dst = static_cast<DimmId>(ctrl.dst);
+    x.flits = 1;
+    x.msgId = nextMsgId++;
+    x.wire = std::make_shared<std::vector<std::uint8_t>>(
         proto::encode(ctrl));
-    msg.deliver = [this, dst, w = msg.wire](int) {
-        eventq.scheduleIn(
-            decodeDelay(1),
-            [this, dst, w] {
-                proto::Packet c;
-                if (!proto::decode(*w, c)) {
-                    ++statDllCtrlDropped;
-                    return;
-                }
-                dllCtl[dst]->onControlArrive(c);
-            },
-            EventPriority::Control);
-    };
-    eventq.scheduleIn(packetizeDelay(1),
-                      [this, group, msg = std::move(msg)]() mutable {
-                          inject(group, std::move(msg));
-                      },
-                      EventPriority::Control);
+    schedulePacket(h, PacketKind::DllControl);
 }
 
 void
-DlFabric::requestForward(DimmId src, std::function<void()> job)
+DlFabric::controlDecoded(XferId h)
+{
+    const DimmId dst = xfer(h).dst;
+    const auto wire = std::move(xfer(h).wire);
+    freeXfer(h);
+    proto::Packet c;
+    if (!proto::decode(*wire, c)) {
+        ++statDllCtrlDropped;
+        return;
+    }
+    dllCtl[dst]->onControlArrive(c);
+}
+
+void
+DlFabric::requestForward(DimmId src, EventCallback job)
 {
     const bool proxy_mode =
         cfg.pollingMode == PollingMode::Proxy ||
@@ -708,48 +933,20 @@ DlFabric::requestForward(DimmId src, std::function<void()> job)
     // network (a single-flit FwdReq packet), so the host only has to
     // poll one DIMM per group (Fig. 7).
     const unsigned g = groupIdx(src);
-    auto job_sh = std::make_shared<std::function<void()>>(std::move(job));
-    // When the proxy cannot be reached over the bridge (now, or by the
-    // time the note would arrive), the host discovers the request on
-    // its own polling cadence instead — modeled as one extra poll
-    // interval of discovery latency.
-    auto fallback = [this, proxy, job_sh] {
-        if (statProxyNotifyFallbacks)
-            ++*statProxyNotifyFallbacks;
-        eventq.scheduleIn(
-            cfg.host.pollIntervalPs,
-            [this, proxy, job_sh] {
-                path.request(proxy, [job_sh] { (*job_sh)(); });
-            },
-            EventPriority::Control);
-    };
     if (dllPath &&
         !nets[g]->graph().reachable(nodeIdx(src), nodeIdx(proxy))) {
-        fallback();
+        forwardFallback(proxy, std::move(job));
         return;
     }
     ++statProxyNotifies;
-    // Exactly one of {delivery, drop, deadline} may claim the job; a
-    // plain flag makes the losers no-ops.
-    auto claimed = std::make_shared<bool>(false);
-    noc::Message note;
-    note.src = nodeIdx(src);
-    note.dst = nodeIdx(proxy);
-    note.flits = 1;
-    note.id = nextMsgId++;
+    // Exactly one of {delivery, drop, deadline} may claim the job: the
+    // first frees the note's record, and the others find its handle
+    // stale.
+    const XferId h = newXfer();
+    xfer(h).dst = proxy;
+    xfer(h).next = std::move(job);
+    const std::uint64_t id = nextMsgId++;
     statBytesViaLink += proto::flitBytes;
-    note.deliver = [this, proxy, job_sh, claimed](int) {
-        if (*claimed)
-            return;
-        *claimed = true;
-        path.request(proxy, [job_sh] { (*job_sh)(); });
-    };
-    note.onDropped = [claimed, fallback] {
-        if (*claimed)
-            return;
-        *claimed = true;
-        fallback();
-    };
     if (dllPath) {
         // A stuck link *delays* whatever is serialized into it
         // (noc::Link::transmit adds the outage to the arrival tick, it
@@ -761,26 +958,64 @@ DlFabric::requestForward(DimmId src, std::function<void()> job)
         // edge). Bound the note's useful life by the same timeout that
         // protects DLL data packets; past it, the host discovers the
         // request on its own polling cadence.
-        eventq.scheduleIn(
-            packetizeDelay(1) + cfg.link.retryTimeoutPs,
-            [claimed, fallback] {
-                if (*claimed)
-                    return;
-                *claimed = true;
-                fallback();
-            },
-            EventPriority::Control);
+        eventq.scheduleIn(packetizeDelay(1) + cfg.link.retryTimeoutPs,
+                          [this, h] { noteLost(h); },
+                          EventPriority::Control);
     }
-    eventq.scheduleIn(packetizeDelay(1),
-                      [this, g, note = std::move(note)]() mutable {
-                          inject(g, std::move(note));
+    // The note's header rides in this closure, not the record: the
+    // deadline may claim the record before the note is packetized.
+    eventq.scheduleIn(
+        packetizeDelay(1),
+        [this, h, g, src, proxy, id] {
+            noc::Message note;
+            note.src = nodeIdx(src);
+            note.dst = nodeIdx(proxy);
+            note.flits = 1;
+            note.id = id;
+            note.deliver = [this, h](int) { noteDelivered(h); };
+            note.onDropped = [this, h] { noteLost(h); };
+            inject(g, std::move(note));
+        },
+        EventPriority::Control);
+}
+
+void
+DlFabric::noteDelivered(XferId h)
+{
+    if (!current(h))
+        return;
+    const DimmId proxy = xfer(h).dst;
+    path.request(proxy, claim(h));
+}
+
+void
+DlFabric::noteLost(XferId h)
+{
+    if (!current(h))
+        return;
+    const DimmId proxy = xfer(h).dst;
+    forwardFallback(proxy, claim(h));
+}
+
+void
+DlFabric::forwardFallback(DimmId proxy, EventCallback job)
+{
+    // The proxy cannot be reached over the bridge (now, or by the time
+    // the note would arrive): the host discovers the request on its
+    // own polling cadence instead — modeled as one extra poll interval
+    // of discovery latency.
+    if (statProxyNotifyFallbacks)
+        ++*statProxyNotifyFallbacks;
+    eventq.scheduleIn(cfg.host.pollIntervalPs,
+                      [this, proxy, job = std::move(job)]() mutable {
+                          path.request(proxy, std::move(job));
                       },
                       EventPriority::Control);
 }
 
 void
 DlFabric::groupBroadcast(DimmId s, std::uint64_t bytes,
-                         std::function<void()> all_delivered)
+                         EventCallback all_delivered)
 {
     const unsigned group = groupIdx(s);
     const unsigned gs = cfg.groupSize();
@@ -792,237 +1027,239 @@ DlFabric::groupBroadcast(DimmId s, std::uint64_t bytes,
         return;
     }
 
+    const XferId fan = newXfer();
+    xfer(fan).next = std::move(all_delivered);
+
     if (dllPath) {
         // Under fault injection the spanning-tree broadcast gives way
         // to per-destination reliable unicasts: every copy is CRC +
         // retry protected, and copies for nodes the tables can no
         // longer reach degrade to host forwarding individually
         // (sendIntraGroup handles both).
-        auto remaining = std::make_shared<std::size_t>(gs - 1);
-        auto done = std::make_shared<std::function<void()>>(
-            std::move(all_delivered));
+        xfer(fan).remaining = gs - 1;
         for (unsigned node = 0; node < gs; ++node) {
             const DimmId dv = dimmAt(group, static_cast<int>(node));
             if (dv == s)
                 continue;
-            sendIntraGroup(s, dv, bytes, [remaining, done] {
-                if (--*remaining == 0 && *done)
-                    (*done)();
-            });
+            sendIntraGroup(s, dv, bytes, [this, fan] { partDone(fan); });
         }
         return;
     }
 
+    // Every node (including the source's own router) ejects each
+    // broadcast packet once.
+    const std::uint64_t packets =
+        bytes == 0 ? 1
+                   : (bytes + proto::maxPayloadBytes - 1) /
+                         proto::maxPayloadBytes;
+    xfer(fan).remaining = static_cast<std::uint32_t>(packets * gs);
     std::uint64_t left = bytes;
-    std::vector<std::uint64_t> chunks;
     do {
         const std::uint64_t c =
             std::min<std::uint64_t>(left, proto::maxPayloadBytes);
-        chunks.push_back(c);
         left -= c;
-    } while (left > 0);
-
-    // Every node (including the source's own router) ejects each
-    // broadcast packet once.
-    auto remaining =
-        std::make_shared<std::size_t>(chunks.size() * gs);
-    auto done = std::make_shared<std::function<void()>>(
-        std::move(all_delivered));
-
-    for (const std::uint64_t c : chunks) {
         const unsigned flits = flitsFor(c);
-        noc::Message msg;
-        msg.src = nodeIdx(s);
-        msg.dst = 0;
-        msg.broadcast = true;
-        msg.flits = flits;
-        msg.id = nextMsgId++;
+        const XferId pk = newXfer();
+        Xfer &x = xfer(pk);
+        x.src = s;
+        x.broadcast = true;
+        x.flits = flits;
+        x.msgId = nextMsgId++;
+        x.parent = fan;
+        x.remaining = gs;
         ++statPacketsLink;
-        statBytesViaLink +=
-            static_cast<double>(flits) * proto::flitBytes;
-        msg.deliver = [this, flits, remaining, done,
-                       src_node = nodeIdx(s)](int node) {
-            if (node == src_node) {
-                // The source's local copy needs no decode.
-                if (--*remaining == 0 && *done)
-                    (*done)();
-                return;
-            }
-            eventq.scheduleIn(decodeDelay(flits),
-                              [remaining, done] {
-                                  if (--*remaining == 0 && *done)
-                                      (*done)();
-                              },
-                              EventPriority::Control);
-        };
-        eventq.scheduleIn(packetizeDelay(flits),
-                          [this, group, msg = std::move(msg)]() mutable {
-                              inject(group, std::move(msg));
-                          },
-                          EventPriority::Control);
+        statBytesViaLink += static_cast<double>(flits) * proto::flitBytes;
+        schedulePacket(pk, PacketKind::Broadcast);
+    } while (left > 0);
+}
+
+void
+DlFabric::broadcastEjected(XferId h, int node)
+{
+    const XferId fan = xfer(h).parent;
+    const unsigned flits = xfer(h).flits;
+    const int src_node = nodeIdx(xfer(h).src);
+    if (--xfer(h).remaining == 0)
+        freeXfer(h);
+    if (node == src_node) {
+        // The source's local copy needs no decode.
+        partDone(fan);
+        return;
     }
+    eventq.scheduleIn(decodeDelay(flits), [this, fan] { partDone(fan); },
+                      EventPriority::Control);
 }
 
 void
 DlFabric::hostPathSend(DimmId s, DimmId d,
                        std::uint64_t payload_bytes,
-                       std::function<void()> done)
+                       EventCallback done)
 {
     const auto wire = static_cast<unsigned>(wireBytesFor(payload_bytes));
-    if (!rackFabric || cfg.hostOf(s) == cfg.hostOf(d)) {
-        // Intra-host: exactly the pre-rack sequence, so single-host
-        // runs keep byte-identical timing and stats.
-        ++statPacketsHost;
-        statBytesViaHost += wire;
-        requestForward(s,
-                       [this, s, d, wire, done = std::move(done)]() mutable {
-                           path.forwarder().forward(s, d, wire,
-                                                    std::move(done));
-                       });
-        return;
-    }
-    // Cross-host: a transfer whose primary route lost an endpoint
-    // fails over to the other one; with both ends down the pooled lane
-    // is taken regardless (the cables physically exist, and the
-    // simulation must terminate).
-    const unsigned hs = cfg.hostOf(s);
-    const unsigned hd = cfg.hostOf(d);
-    bool pooled = rackPooledPrimary;
-    if (pooled && !rackFabric->bridgeUp(hs, hd) &&
-        rackFabric->hostUp(hs) && rackFabric->hostUp(hd)) {
-        pooled = false;
-        rackFabric->noteReroute();
-    } else if (!pooled &&
-               !(rackFabric->hostUp(hs) && rackFabric->hostUp(hd))) {
-        pooled = true;
-        rackFabric->noteReroute();
-    }
-    if (pooled) {
-        // The bridge lane is DIMM-Link wire: count it with the link
-        // traffic, not the host path.
-        ++statPacketsLink;
-        statBytesViaLink += wire;
-        rackFabric->pooledSend(hs, hd, wire, std::move(done));
-        return;
+    const bool cross_host = rackFabric && cfg.hostOf(s) != cfg.hostOf(d);
+    if (cross_host) {
+        // A transfer whose primary route lost an endpoint fails over
+        // to the other one; with both ends down the pooled lane is
+        // taken regardless (the cables physically exist, and the
+        // simulation must terminate).
+        const unsigned hs = cfg.hostOf(s);
+        const unsigned hd = cfg.hostOf(d);
+        bool pooled = rackPooledPrimary;
+        if (pooled && !rackFabric->bridgeUp(hs, hd) &&
+            rackFabric->hostUp(hs) && rackFabric->hostUp(hd)) {
+            pooled = false;
+            rackFabric->noteReroute();
+        } else if (!pooled &&
+                   !(rackFabric->hostUp(hs) && rackFabric->hostUp(hd))) {
+            pooled = true;
+            rackFabric->noteReroute();
+        }
+        if (pooled) {
+            // The bridge lane is DIMM-Link wire: count it with the
+            // link traffic, not the host path.
+            ++statPacketsLink;
+            statBytesViaLink += wire;
+            rackFabric->pooledSend(hs, hd, wire, std::move(done));
+            return;
+        }
     }
     ++statPacketsHost;
     statBytesViaHost += wire;
+    const XferId leg = newXfer();
+    xfer(leg).src = s;
+    xfer(leg).dst = d;
+    xfer(leg).bytes = wire;
+    xfer(leg).next = std::move(done);
+    if (!cross_host) {
+        // Intra-host: exactly the pre-rack sequence, so single-host
+        // runs keep byte-identical timing and stats.
+        requestForward(s, [this, leg] { hostLegDiscovered(leg); });
+        return;
+    }
     // Discovery at the source host, the rack crossing, then the
     // channel fetch + store the Forwarder models at both ends.
-    requestForward(s, [this, s, d, hs, hd, wire,
-                       done = std::move(done)]() mutable {
-        rackFabric->crossing(
-            hs, hd, wire,
-            [this, s, d, wire, done = std::move(done)]() mutable {
-                path.forwarder().forward(s, d, wire, std::move(done));
-            });
+    requestForward(s, [this, leg] {
+        rackFabric->crossing(cfg.hostOf(xfer(leg).src),
+                             cfg.hostOf(xfer(leg).dst), xfer(leg).bytes,
+                             [this, leg] { hostLegDiscovered(leg); });
     });
 }
 
 void
-DlFabric::doRemoteRead(Transaction t, std::function<void()> finish)
+DlFabric::sendLeg(DimmId s, DimmId d, std::uint64_t bytes,
+                  EventCallback done)
 {
-    if (groupIdx(t.src) == groupIdx(t.dst)) {
-        // Fig. 5-(a): request packet out, read-return data back, all
-        // over the DL-Bridge.
-        sendIntraGroup(
-            t.src, t.dst, 0, [this, t, finish]() mutable {
-                memAccess(t.dst, t.addr, t.bytes, /*is_write=*/false,
-                          [this, t, finish]() mutable {
-                              sendIntraGroup(t.dst, t.src, t.bytes,
-                                             finish);
-                          });
-            });
-        return;
-    }
-    // Fig. 5-(b): the request packet is CPU-forwarded to the remote
-    // group's DIMM; the read-return data is CPU-forwarded back after
-    // the destination registers its own forwarding request. Across
-    // hosts both legs ride the rack crossing (or the pooled bridge
-    // lanes) instead.
-    hostPathSend(t.src, t.dst, 0, [this, t, finish]() mutable {
-        memAccess(t.dst, t.addr, t.bytes, /*is_write=*/false,
-                  [this, t, finish]() mutable {
-                      hostPathSend(t.dst, t.src, t.bytes, finish);
-                  });
-    });
+    // Fig. 5-(a): intra-group legs ride the DL-Bridge. Fig. 5-(b):
+    // inter-group legs are CPU-forwarded (across hosts they ride the
+    // rack crossing, or the pooled bridge lanes, instead).
+    if (groupIdx(s) == groupIdx(d))
+        sendIntraGroup(s, d, bytes, std::move(done));
+    else
+        hostPathSend(s, d, bytes, std::move(done));
 }
 
 void
-DlFabric::doRemoteWrite(Transaction t, std::function<void()> finish)
+DlFabric::doRemoteRead(XferId t)
 {
-    if (groupIdx(t.src) == groupIdx(t.dst)) {
-        sendIntraGroup(
-            t.src, t.dst, t.bytes, [this, t, finish]() mutable {
-                memAccess(t.dst, t.addr, t.bytes, /*is_write=*/true,
-                          finish);
-            });
-        return;
-    }
-    hostPathSend(t.src, t.dst, t.bytes, [this, t, finish]() mutable {
-        memAccess(t.dst, t.addr, t.bytes, /*is_write=*/true, finish);
+    // Request packet out, read-return data back: the data returns
+    // after the destination's DRAM access.
+    sendLeg(xfer(t).src, xfer(t).dst, 0,
+            [this, t] { remoteReadAtDst(t); });
+}
+
+void
+DlFabric::remoteReadAtDst(XferId t)
+{
+    const Xfer &x = xfer(t);
+    memAccess(x.dst, x.addr, x.bytes, /*is_write=*/false, [this, t] {
+        sendLeg(xfer(t).dst, xfer(t).src, xfer(t).bytes,
+                [this, t] { finishTransaction(t); });
     });
 }
 
 void
-DlFabric::doBroadcast(Transaction t, std::function<void()> finish)
+DlFabric::doRemoteWrite(XferId t)
+{
+    sendLeg(xfer(t).src, xfer(t).dst, xfer(t).bytes, [this, t] {
+        const Xfer &x = xfer(t);
+        memAccess(x.dst, x.addr, x.bytes, /*is_write=*/true,
+                  [this, t] { finishTransaction(t); });
+    });
+}
+
+void
+DlFabric::doBroadcast(XferId t)
 {
     // Fig. 5-(c)/(d): broadcast in the local group over the bridge;
     // for each remote group, one CPU-forwarded copy to the group's
     // entry DIMM (its proxy), then a group-local broadcast there.
     ++statBroadcasts;
-    auto finish_sh =
-        std::make_shared<std::function<void()>>(std::move(finish));
-    auto remaining = std::make_shared<unsigned>(0);
-    auto dec = [remaining, finish_sh]() {
-        if (--*remaining == 0)
-            (*finish_sh)();
-    };
-
-    memAccess(t.src, t.addr, t.bytes, /*is_write=*/false,
-              [this, t, remaining, dec]() mutable {
-                  ++*remaining;
-                  groupBroadcast(t.src, t.bytes, dec);
-                  for (unsigned g = 0; g < cfg.numGroups(); ++g) {
-                      if (g == groupIdx(t.src))
-                          continue;
-                      ++*remaining;
-                      const DimmId entry = proxyOf(g);
-                      hostPathSend(t.src, entry, t.bytes,
-                                   [this, t, entry, dec]() mutable {
-                                       groupBroadcast(entry, t.bytes,
-                                                      dec);
-                                   });
-                  }
-              });
+    const Xfer &x = xfer(t);
+    memAccess(x.src, x.addr, x.bytes, /*is_write=*/false, [this, t] {
+        const DimmId src = xfer(t).src;
+        const std::uint64_t bytes = xfer(t).bytes;
+        ++xfer(t).remaining;
+        groupBroadcast(src, bytes, [this, t] { broadcastPartDone(t); });
+        for (unsigned g = 0; g < cfg.numGroups(); ++g) {
+            if (g == groupIdx(src))
+                continue;
+            ++xfer(t).remaining;
+            const DimmId entry = proxyOf(g);
+            hostPathSend(src, entry, bytes, [this, t, entry] {
+                groupBroadcast(entry, xfer(t).bytes,
+                               [this, t] { broadcastPartDone(t); });
+            });
+        }
+    });
 }
 
 void
-DlFabric::doSyncMessage(Transaction t, std::function<void()> finish)
+DlFabric::broadcastPartDone(XferId t)
 {
-    if (groupIdx(t.src) == groupIdx(t.dst)) {
-        sendIntraGroup(t.src, t.dst, t.bytes, finish);
-        return;
-    }
-    hostPathSend(t.src, t.dst, t.bytes, std::move(finish));
+    if (--xfer(t).remaining == 0)
+        finishTransaction(t);
+}
+
+void
+DlFabric::doSyncMessage(XferId t)
+{
+    sendLeg(xfer(t).src, xfer(t).dst, xfer(t).bytes,
+            [this, t] { finishTransaction(t); });
+}
+
+void
+DlFabric::finishTransaction(XferId t)
+{
+    const Xfer &x = xfer(t);
+    statLatencyPs.sample(static_cast<double>(eventq.now() - x.started));
+    if (tr)
+        tr->asyncEnd(trk, x.nm, eventq.now(), x.aid);
+    EventCallback cb = claim(t);
+    if (cb)
+        cb();
 }
 
 std::string
 DlFabric::debugDump()
 {
     std::ostringstream os;
-    const std::size_t waiting = dllWaiting.size();
-    os << "fabric.dl: dllWaiting=" << waiting
-       << " forwardBacklog=" << path.forwarder().backlog() << "\n";
+    os << "fabric.dl: dllWaiting=" << dllWaiting
+       << " forwardBacklog=" << path.forwarder().backlog()
+       << " liveTransfers=" << liveXfers << "\n";
+    std::vector<std::uint64_t> keys;
+    for (const std::uint64_t k : dllSlots)
+        if (k != 0)
+            keys.push_back(k - 1);
+    std::sort(keys.begin(), keys.end());
     std::size_t shown = 0;
-    for (const auto &kv : dllWaiting) {
+    for (const std::uint64_t k : keys) {
         if (shown++ == 16) {
-            os << "  ... (" << (waiting - 16) << " more waiting keys)\n";
+            os << "  ... (" << (keys.size() - 16)
+               << " more waiting keys)\n";
             break;
         }
-        os << "  waiting: " << static_cast<unsigned>(std::get<0>(kv.first))
-           << " -> " << static_cast<unsigned>(std::get<1>(kv.first))
-           << " seq=" << std::get<2>(kv.first) << "\n";
+        os << "  waiting: " << ((k >> 24) & 0xff) << " -> "
+           << ((k >> 16) & 0xff) << " seq=" << (k & 0xffff) << "\n";
     }
     for (std::size_t d = 0; d < dllCtl.size(); ++d) {
         const auto &c = *dllCtl[d];
@@ -1047,34 +1284,32 @@ void
 DlFabric::submit(Transaction t)
 {
     ++statTransactions;
-    const Tick started = eventq.now();
-    const std::uint16_t nm = nmXact[static_cast<int>(t.type)];
-    std::uint64_t aid = 0;
+    const XferId h = newXfer();
+    Xfer &x = xfer(h);
+    x.src = t.src;
+    x.dst = t.dst;
+    x.addr = t.addr;
+    x.bytes = t.bytes;
+    x.started = eventq.now();
+    x.nm = nmXact[static_cast<int>(t.type)];
     if (tr) {
-        aid = tr->nextAsyncId();
-        tr->asyncBegin(trk, nm, started, aid);
+        x.aid = tr->nextAsyncId();
+        tr->asyncBegin(trk, x.nm, x.started, x.aid);
     }
-    auto finish = [this, cb = std::move(t.onComplete), started, nm,
-                   aid]() {
-        statLatencyPs.sample(static_cast<double>(eventq.now() - started));
-        if (tr)
-            tr->asyncEnd(trk, nm, eventq.now(), aid);
-        if (cb)
-            cb();
-    };
+    x.next = std::move(t.onComplete);
 
     switch (t.type) {
       case Transaction::Type::RemoteRead:
-        doRemoteRead(std::move(t), std::move(finish));
+        doRemoteRead(h);
         break;
       case Transaction::Type::RemoteWrite:
-        doRemoteWrite(std::move(t), std::move(finish));
+        doRemoteWrite(h);
         break;
       case Transaction::Type::Broadcast:
-        doBroadcast(std::move(t), std::move(finish));
+        doBroadcast(h);
         break;
       case Transaction::Type::SyncMessage:
-        doSyncMessage(std::move(t), std::move(finish));
+        doSyncMessage(h);
         break;
     }
 }

@@ -9,12 +9,10 @@
 #ifndef DIMMLINK_IDC_DL_FABRIC_HH
 #define DIMMLINK_IDC_DL_FABRIC_HH
 
-#include <deque>
-#include <map>
 #include <memory>
-#include <tuple>
 #include <vector>
 
+#include "common/ring.hh"
 #include "dimm/dl_controller.hh"
 #include "fault/link_health.hh"
 #include "idc/fabric.hh"
@@ -73,6 +71,10 @@ class DlFabric : public Fabric
     /** In-flight DLL keys, retry windows, health and backlog state. */
     std::string debugDump() override;
 
+    /** Transfer records currently allocated (the leak check: zero
+     * once every submitted transaction and DLL exchange has drained). */
+    std::size_t liveTransfers() const { return liveXfers; }
+
     /** Forward the availability feed to the rack fabric (no-op
      * without one: single-host runs have no host-level outages). */
     void setHostAvailabilitySink(HostAvailabilitySink s) override;
@@ -103,6 +105,83 @@ class DlFabric : public Fabric
     Tick decodeDelay(unsigned flits) const;
 
     /**
+     * Generation-tagged handle of a transfer record. A record slot is
+     * recycled with its generation bumped, so a stale handle (held by
+     * the loser of a completion race) no longer matches and is
+     * ignored.
+     */
+    struct XferId
+    {
+        std::uint32_t idx = 0;
+        std::uint32_t gen = 0;
+    };
+
+    /**
+     * One in-flight piece of IDC work: a transaction, a segmented
+     * transfer's fan-in, one packet, one DLL exchange, or one proxy
+     * notification. Closures stored in noc::Messages, the retry
+     * engine and events capture only `this` and an XferId; everything
+     * else they need lives here. Fields are used per role as noted.
+     */
+    struct Xfer
+    {
+        /** What runs when the record completes. */
+        EventCallback next;
+        /** DLL packet: the encoded image the far end decodes. */
+        std::shared_ptr<std::vector<std::uint8_t>> wire;
+        /** DLL exchange: the route it was admitted on. */
+        std::vector<std::pair<int, int>> route;
+        Tick started = 0;        ///< Transaction: latency clock.
+        Addr addr = 0;           ///< Transaction: DIMM-local address.
+        std::uint64_t aid = 0;   ///< Tracer async span id.
+        std::uint64_t msgId = 0; ///< Packet: noc::Message id.
+        XferId parent;           ///< Broadcast packet: its fan-in.
+        DimmId src = 0;
+        DimmId dst = 0;
+        /** Transaction / host-leg bytes; DLL exchange payload. */
+        std::uint32_t bytes = 0;
+        /** Outstanding parts (packets, copies, ejections) or, for a
+         * DLL exchange, owners (retry engine + waiting claim). */
+        std::uint32_t remaining = 0;
+        std::uint32_t gen = 0;
+        std::uint32_t nextFree = ~0u; ///< Free-list link.
+        unsigned flits = 0;      ///< Packet size.
+        std::uint16_t nm = 0;    ///< Transaction: tracer name.
+        std::uint16_t seq = 0;   ///< DLL exchange: stream sequence.
+        bool keyed = false;      ///< DLL exchange: seq assigned.
+        bool broadcast = false;  ///< Packet: group broadcast.
+        bool live = false;
+    };
+
+    XferId newXfer();
+    Xfer &
+    xfer(XferId h)
+    {
+        return xferChunks[h.idx >> xferChunkBits]
+                         [h.idx & (xferChunkSize - 1)];
+    }
+    /** True while @p h names the record it was issued for. */
+    bool
+    current(XferId h)
+    {
+        return h.idx < xferSlots && xfer(h).live &&
+               xfer(h).gen == h.gen;
+    }
+    void freeXfer(XferId h);
+    /** Take @p h's continuation and free the record. */
+    EventCallback claim(XferId h);
+    /** One part of @p h landed; the last one completes it. */
+    void partDone(XferId h);
+
+    /** Build the noc::Message for packet record @p h. */
+    noc::Message packetOf(XferId h);
+    /** After the NW-interface packetize delay, inject packet @p h
+     * (deliver/onDropped set by @p kind). */
+    enum class PacketKind { Data, Broadcast, DllData, DllControl };
+    void schedulePacket(XferId h, PacketKind kind);
+    void injectPacket(XferId h, PacketKind kind);
+
+    /**
      * Send @p payload_bytes from @p s to @p d inside one group,
      * segmented into packets; @p delivered fires at d after the last
      * packet is decoded. With fault injection enabled the packets ride
@@ -112,7 +191,9 @@ class DlFabric : public Fabric
      * pre-fault model.
      */
     void sendIntraGroup(DimmId s, DimmId d, std::uint64_t payload_bytes,
-                        std::function<void()> delivered);
+                        EventCallback delivered);
+    /** Non-DLL data packet @p h was decoded at its destination. */
+    void packetDecoded(XferId h);
 
     /**
      * Transmit one DL packet from @p s to @p d (same group) under DLL
@@ -122,7 +203,18 @@ class DlFabric : public Fabric
      * completes so the simulation can terminate.
      */
     void sendDllPacket(DimmId s, DimmId d, proto::Packet pkt,
-                       std::function<void()> delivered);
+                       EventCallback delivered);
+    /** The retry engine (re)transmits exchange @p h's packet. */
+    void dllTransmit(XferId h, const proto::Packet &p,
+                     std::vector<std::uint8_t> wire);
+    /** Exchange @p h's ACK returned. */
+    void dllAcked(XferId h);
+    /** Exchange @p h exhausted its retry budget. */
+    void dllFailed(XferId h);
+    /** The retry engine or the waiting claim let go of exchange @p h. */
+    void dllRelease(XferId h);
+    /** DLL image record @p h finished decode at its destination. */
+    void dllDecoded(XferId h);
     /** A DLL wire image finished decode at DIMM @p d. */
     void dllReceive(DimmId d, const std::vector<std::uint8_t> &wire);
     /** Claim and fire @p p's completion if it is still waiting. */
@@ -138,6 +230,21 @@ class DlFabric : public Fabric
     void dllStreamResync(DimmId s, DimmId d, std::uint16_t seq);
     /** Send an ACK/NACK produced at @p from back over the bridge. */
     void sendDllControl(DimmId from, const proto::Packet &ctrl);
+    /** DLL control record @p h finished decode at its destination. */
+    void controlDecoded(XferId h);
+
+    /** The waiting-table key of sequence @p seq on stream s -> d. */
+    static std::uint64_t
+    dllKey(unsigned s, unsigned d, std::uint16_t seq)
+    {
+        // +1 keeps 0 free as the empty-slot marker.
+        return ((static_cast<std::uint64_t>(s) << 24) |
+                (static_cast<std::uint64_t>(d) << 16) | seq) + 1;
+    }
+    /** Slot of @p key in the waiting table, or dllSlots.size(). */
+    std::size_t dllFind(std::uint64_t key) const;
+    void dllInsert(std::uint64_t key, XferId h);
+    void dllErase(std::size_t slot);
 
     /** Inject one message, queueing on backpressure. */
     void inject(unsigned group, noc::Message msg);
@@ -151,7 +258,13 @@ class DlFabric : public Fabric
      * recompute), the job falls back to the host's own polling cadence
      * with a discovery-latency penalty.
      */
-    void requestForward(DimmId src, std::function<void()> job);
+    void requestForward(DimmId src, EventCallback job);
+    /** Proxy note @p h reached its proxy, was dropped, or timed out;
+     * the first of the three claims the job. */
+    void noteDelivered(XferId h);
+    void noteLost(XferId h);
+    /** The host discovers @p job at @p proxy one poll interval late. */
+    void forwardFallback(DimmId proxy, EventCallback job);
 
     /**
      * Deliver @p payload_bytes from @p s to @p d (same group) over the
@@ -159,7 +272,7 @@ class DlFabric : public Fabric
      * route for pairs the routing tables can no longer connect.
      */
     void hostFallback(DimmId s, DimmId d, std::uint64_t payload_bytes,
-                      std::function<void()> delivered);
+                      EventCallback delivered);
 
     /**
      * Move one inter-group packet of @p payload_bytes from @p s to
@@ -172,11 +285,15 @@ class DlFabric : public Fabric
      * rack.reroutes). @p done fires like a Forwarder delivery.
      */
     void hostPathSend(DimmId s, DimmId d, std::uint64_t payload_bytes,
-                      std::function<void()> done);
+                      EventCallback done);
+    /** Host-path leg @p h reached its copy step (after discovery,
+     * and the rack crossing when there is one): run the copy. */
+    void hostLegDiscovered(XferId h);
 
-    /** The directed edges the current tables route (from -> to) over. */
-    std::vector<std::pair<int, int>> routePath(unsigned group, int from,
-                                               int to) const;
+    /** The directed edges the current tables route (from -> to) over,
+     * written into @p edges (its capacity is reused). */
+    void routePath(unsigned group, int from, int to,
+                   std::vector<std::pair<int, int>> &edges) const;
 
     /** Put one health probe on the physical link a -> b of @p group. */
     void sendHealthProbe(unsigned group, int a, int b,
@@ -187,12 +304,24 @@ class DlFabric : public Fabric
 
     /** Broadcast @p bytes within @p group starting at node of @p s. */
     void groupBroadcast(DimmId s, std::uint64_t bytes,
-                        std::function<void()> all_delivered);
+                        EventCallback all_delivered);
+    /** Broadcast packet @p h was ejected at @p node. */
+    void broadcastEjected(XferId h, int node);
 
-    void doRemoteRead(Transaction t, std::function<void()> finish);
-    void doRemoteWrite(Transaction t, std::function<void()> finish);
-    void doBroadcast(Transaction t, std::function<void()> finish);
-    void doSyncMessage(Transaction t, std::function<void()> finish);
+    void doRemoteRead(XferId t);
+    void doRemoteWrite(XferId t);
+    void doBroadcast(XferId t);
+    void doSyncMessage(XferId t);
+    /** Send @p bytes s -> d over the bridge or the host path,
+     * whichever the group placement calls for. */
+    void sendLeg(DimmId s, DimmId d, std::uint64_t bytes,
+                 EventCallback done);
+    /** Transaction @p t's remote-read data is ready at its dst. */
+    void remoteReadAtDst(XferId t);
+    /** One copy of broadcast transaction @p t landed. */
+    void broadcastPartDone(XferId t);
+    /** Sample, trace and complete transaction @p t. */
+    void finishTransaction(XferId t);
 
     std::vector<host::Channel *> channels;
     std::vector<std::unique_ptr<noc::Network>> nets;
@@ -201,7 +330,7 @@ class DlFabric : public Fabric
     /** cfg.rack.idcMode == "pooled" (the primary cross-host route). */
     bool rackPooledPrimary = false;
     /** Per (group, node) queue of messages awaiting injection space. */
-    std::vector<std::vector<std::deque<noc::Message>>> injectQ;
+    std::vector<std::vector<Ring<noc::Message>>> injectQ;
     CpuForwardPath path;
     std::uint64_t nextMsgId = 1;
 
@@ -214,12 +343,30 @@ class DlFabric : public Fabric
     std::vector<std::unique_ptr<DlController>> dllCtl;
     /** Per-group link health trackers (empty with faults off). */
     std::vector<std::unique_ptr<fault::LinkHealth>> health;
-    /** In-flight transfer completions, keyed by (SRC, DST, sequence)
-     * — sequence numbers are only unique per directed stream. An
-     * entry is claimed exactly once: at first in-order delivery, or
-     * on permanent failure, whichever comes first. */
-    using DllKey = std::tuple<std::uint8_t, std::uint8_t, std::uint16_t>;
-    std::map<DllKey, std::shared_ptr<std::function<void()>>> dllWaiting;
+    /**
+     * The transfer record table, in fixed chunks: records never move
+     * (references stay valid while new records are allocated) and
+     * growing the table never copies it. Slots recycle through
+     * freeXfer; the table only grows at a new high-water mark.
+     */
+    static constexpr unsigned xferChunkBits = 8;
+    static constexpr std::uint32_t xferChunkSize = 1u << xferChunkBits;
+    std::vector<std::unique_ptr<Xfer[]>> xferChunks;
+    std::uint32_t xferSlots = 0;
+    std::uint32_t freeXferHead = ~0u;
+    std::size_t liveXfers = 0;
+
+    /**
+     * DLL exchanges waiting for their in-order delivery, keyed by
+     * (SRC, DST, sequence) -- sequence numbers are only unique per
+     * directed stream. Open addressing with linear probing; 0 marks
+     * an empty slot. An entry is claimed exactly once: at first
+     * in-order delivery, or on permanent failure, whichever comes
+     * first.
+     */
+    std::vector<std::uint64_t> dllSlots;
+    std::vector<XferId> dllSlotXfer;
+    std::size_t dllWaiting = 0;
 
     stats::Scalar &statPacketsLink;
     stats::Scalar &statPacketsHost;

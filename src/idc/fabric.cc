@@ -27,16 +27,6 @@ Fabric::distance(DimmId j, DimmId k) const
     return j == k ? 0.0 : 1.0;
 }
 
-void
-Fabric::completeLater(std::function<void()> &cb, Tick at)
-{
-    if (!cb)
-        return;
-    eventq.schedule(std::max(at, eventq.now()), std::move(cb),
-                    EventPriority::Delivery);
-    cb = nullptr;
-}
-
 CpuForwardPath::CpuForwardPath(EventQueue &eq, const SystemConfig &cfg,
                                std::vector<host::Channel *> channels,
                                std::vector<DimmId> poll_targets,
@@ -51,7 +41,7 @@ CpuForwardPath::CpuForwardPath(EventQueue &eq, const SystemConfig &cfg,
 }
 
 void
-CpuForwardPath::request(DimmId target, std::function<void()> job)
+CpuForwardPath::request(DimmId target, EventCallback job)
 {
     queued[target].push_back(std::move(job));
     poll->requestRaised(target);
@@ -60,10 +50,16 @@ CpuForwardPath::request(DimmId target, std::function<void()> job)
 void
 CpuForwardPath::onDiscover(DimmId target)
 {
-    auto jobs = std::move(queued[target]);
-    queued[target].clear();
+    // Jobs may queue new requests at the same target while they run:
+    // take the list first, then hand its storage back for reuse.
+    std::vector<EventCallback> jobs;
+    jobs.swap(queued[target]);
     for (auto &job : jobs)
         job();
+    if (queued[target].empty()) {
+        jobs.clear();
+        queued[target].swap(jobs);
+    }
 }
 
 void

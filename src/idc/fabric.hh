@@ -47,9 +47,9 @@ struct Transaction
     /**
      * RemoteRead: data arrived back at src. RemoteWrite: data written
      * at dst. Broadcast: accepted by every DIMM. SyncMessage: arrived
-     * at dst.
+     * at dst. Move-only, like every completion on the IDC path.
      */
-    std::function<void()> onComplete;
+    EventCallback onComplete;
 };
 
 /**
@@ -62,7 +62,7 @@ class Fabric
     /** Perform @p bytes of DRAM access at DIMM @p dimm, then @p done. */
     using MemAccessFn =
         std::function<void(DimmId dimm, Addr addr, std::uint32_t bytes,
-                           bool is_write, std::function<void()> done)>;
+                           bool is_write, EventCallback done)>;
 
     Fabric(EventQueue &eq, const SystemConfig &cfg,
            stats::Registry &reg, std::string name);
@@ -105,8 +105,6 @@ class Fabric
     const std::string &name() const { return name_; }
 
   protected:
-    void completeLater(std::function<void()> &cb, Tick at);
-
     EventQueue &eventq;
     const SystemConfig &cfg;
     stats::Registry &registry;
@@ -139,7 +137,7 @@ class CpuForwardPath
      * Queue @p job at polled target @p target; when polling discovers
      * the target, @p job runs with the host Forwarder available.
      */
-    void request(DimmId target, std::function<void()> job);
+    void request(DimmId target, EventCallback job);
 
     host::Forwarder &forwarder() { return fwd; }
     host::PollingEngine &polling() { return *poll; }
@@ -153,7 +151,7 @@ class CpuForwardPath
     EventQueue &eventq;
     host::Forwarder fwd;
     std::unique_ptr<host::PollingEngine> poll;
-    std::vector<std::vector<std::function<void()>>> queued;
+    std::vector<std::vector<EventCallback>> queued;
 };
 
 /**

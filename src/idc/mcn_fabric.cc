@@ -44,32 +44,37 @@ McnFabric::submit(Transaction t)
 void
 McnFabric::execute(Transaction t, Tick started)
 {
-    auto finish = [this, cb = std::move(t.onComplete), started]() {
+    auto finish = [this, cb = std::move(t.onComplete), started]() mutable {
         statLatencyPs.sample(
             static_cast<double>(eventq.now() - started));
         if (cb)
             cb();
     };
 
+    const DimmId src = t.src, dst = t.dst;
+    const Addr addr = t.addr;
+    const std::uint32_t bytes = t.bytes;
     switch (t.type) {
       case Transaction::Type::RemoteRead: {
         // Host reads the data from the remote DIMM (after its local MC
         // stages it from DRAM) and writes it back to the requester.
-        statBytesViaHost += t.bytes;
-        memAccess(t.dst, t.addr, t.bytes, /*is_write=*/false,
-                  [this, t, finish]() mutable {
-                      path.forwarder().copy(t.dst, t.src, t.bytes,
-                                            finish);
+        statBytesViaHost += bytes;
+        memAccess(dst, addr, bytes, /*is_write=*/false,
+                  [this, src, dst, bytes,
+                   finish = std::move(finish)]() mutable {
+                      path.forwarder().copy(dst, src, bytes,
+                                            std::move(finish));
                   });
         break;
       }
       case Transaction::Type::RemoteWrite: {
-        statBytesViaHost += t.bytes;
+        statBytesViaHost += bytes;
         path.forwarder().copy(
-            t.src, t.dst, t.bytes,
-            [this, t, finish]() mutable {
-                memAccess(t.dst, t.addr, t.bytes, /*is_write=*/true,
-                          finish);
+            src, dst, bytes,
+            [this, dst, addr, bytes,
+             finish = std::move(finish)]() mutable {
+                memAccess(dst, addr, bytes, /*is_write=*/true,
+                          std::move(finish));
             });
         break;
       }
@@ -78,18 +83,17 @@ McnFabric::execute(Transaction t, Tick started)
         // point-to-point (no hardware broadcast support).
         ++statBroadcasts;
         auto remaining = std::make_shared<unsigned>(0);
-        auto finish_sh =
-            std::make_shared<std::function<void()>>(std::move(finish));
+        auto finish_sh = std::make_shared<EventCallback>(std::move(finish));
         memAccess(
-            t.src, t.addr, t.bytes, /*is_write=*/false,
-            [this, t, remaining, finish_sh]() mutable {
+            src, addr, bytes, /*is_write=*/false,
+            [this, src, bytes, remaining, finish_sh]() mutable {
                 for (DimmId d = 0; d < cfg.numDimms; ++d) {
-                    if (d == t.src)
+                    if (d == src)
                         continue;
                     ++*remaining;
-                    statBytesViaHost += t.bytes;
+                    statBytesViaHost += bytes;
                     path.forwarder().copy(
-                        t.src, d, t.bytes,
+                        src, d, bytes,
                         [remaining, finish_sh]() {
                             if (--*remaining == 0)
                                 (*finish_sh)();
@@ -101,8 +105,8 @@ McnFabric::execute(Transaction t, Tick started)
         break;
       }
       case Transaction::Type::SyncMessage: {
-        statBytesViaHost += t.bytes;
-        path.forwarder().copy(t.src, t.dst, t.bytes, finish);
+        statBytesViaHost += bytes;
+        path.forwarder().copy(src, dst, bytes, std::move(finish));
         break;
       }
     }

@@ -54,7 +54,7 @@ Link::serializationTime(unsigned flits) const
 }
 
 Tick
-Link::transmit(Message msg, std::function<void(Message)> arrive)
+Link::transmit(Message msg, ArriveFn arrive)
 {
     Tick start = std::max(eventq.now(), busyUntil);
     Tick ser = serializationTime(msg.flits);
@@ -97,12 +97,18 @@ Link::transmit(Message msg, std::function<void(Message)> arrive)
     statBusyPs += static_cast<double>(ser);
     const Tick arrival = busyUntil + wireLatency;
     ++msg.hops;
-    eventq.schedule(arrival,
-                    [cb = std::move(arrive), m = std::move(msg)]() mutable {
-                        cb(std::move(m));
-                    },
+    inFlight.push_back(InFlight{std::move(msg), std::move(arrive)});
+    eventq.schedule(arrival, [this] { arriveFront(); },
                     EventPriority::Delivery);
     return arrival;
+}
+
+void
+Link::arriveFront()
+{
+    InFlight f = std::move(inFlight.front());
+    inFlight.pop_front();
+    f.arrive(std::move(f.msg));
 }
 
 } // namespace noc

@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "noc/message.hh"
 #include "sim/event_queue.hh"
@@ -53,23 +54,43 @@ class Link
     /** Ticks to push @p flits flits through the serializer. */
     Tick serializationTime(unsigned flits) const;
 
+    /** Called with the message at the downstream end of the link. */
+    using ArriveFn = std::function<void(Message)>;
+
     /**
      * Begin transmitting at max(now, freeAt()). @p arrive fires at the
      * downstream end after serialization + wire latency.
      * @return the tick at which the tail flit arrives downstream.
      */
-    Tick transmit(Message msg, std::function<void(Message)> arrive);
+    Tick transmit(Message msg, ArriveFn arrive);
 
     const std::string &name() const { return name_; }
     double bandwidthGBps() const { return gbps_; }
 
   private:
+    /** One message on the wire, waiting for its arrival event. */
+    struct InFlight
+    {
+        Message msg;
+        ArriveFn arrive;
+    };
+
+    /** Hand the oldest in-flight message to its arrive callback. */
+    void arriveFront();
+
     EventQueue &eventq;
     std::string name_;
     double gbps_;
     Tick wireLatency;
     unsigned flitBytes;
     Tick busyUntil = 0;
+    /**
+     * Messages on the wire, oldest first. Arrival ticks never
+     * decrease (busyUntil only grows and the wire latency is fixed)
+     * and same-tick arrivals fire in scheduling order, so each arrival
+     * event takes the front: the event itself captures only the link.
+     */
+    Ring<InFlight> inFlight;
 
     stats::Group &statGroup;
     stats::Scalar &statFlits;

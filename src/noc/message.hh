@@ -54,7 +54,10 @@ struct Message
     bool corrupted = false;
     /**
      * Called once per destination when the message is ejected there.
-     * The int argument is the ejecting node index.
+     * The int argument is the ejecting node index. Unicast messages
+     * are moved hop to hop and only broadcast fan-out copies them, so
+     * a callable capturing at most 16 bytes (a pointer and a handle)
+     * is stored inline and never touches the heap.
      */
     std::function<void(int)> deliver;
     /**

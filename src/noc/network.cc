@@ -24,7 +24,7 @@ Network::Network(EventQueue &eq, std::string name, const LinkConfig &cfg_,
         routers.push_back(std::make_unique<Router>(
             eq, name_ + ".router" + std::to_string(i),
             static_cast<int>(i), topo, cfg.bufferFlits,
-            cfg.routerLatencyPs, sg));
+            cfg.routerLatencyPs, sg, statLatencyPs));
     }
     // One unidirectional link per (node, neighbor) ordered pair.
     for (unsigned i = 0; i < nodes; ++i) {
@@ -47,42 +47,44 @@ Network::Network(EventQueue &eq, std::string name, const LinkConfig &cfg_,
 }
 
 bool
-Network::tryInject(Message msg)
+Network::canInject(const Message &msg) const
 {
     if (msg.src < 0 ||
         static_cast<unsigned>(msg.src) >= topo.numNodes())
         panic("%s: inject from bad node %d", name_.c_str(), msg.src);
-    Router &r = *routers[static_cast<std::size_t>(msg.src)];
-    if (!r.canAccept(msg.flits, Router::injectPort)) {
+    return routers[static_cast<std::size_t>(msg.src)]->canAccept(
+        msg.flits, Router::injectPort);
+}
+
+bool
+Network::tryInject(Message &&msg)
+{
+    if (!canInject(msg)) {
         ++statInjectBlocked;
         return false;
     }
     msg.injectedAt = eventq.now();
     ++statInjected;
-    // Wrap the deliver callback to sample network latency stats.
-    auto inner = std::move(msg.deliver);
-    msg.deliver = [this, inner = std::move(inner),
-                   injected = msg.injectedAt](int node) {
-        statLatencyPs.sample(
-            static_cast<double>(eventq.now() - injected));
-        if (inner)
-            inner(node);
-    };
-    r.accept(std::move(msg), Router::injectPort);
+    // The ejecting router samples latencyPs from injectedAt.
+    routers[static_cast<std::size_t>(msg.src)]->accept(
+        std::move(msg), Router::injectPort);
     return true;
+}
+
+bool
+Network::tryInject(const Message &msg)
+{
+    if (!canInject(msg)) {
+        ++statInjectBlocked;
+        return false;
+    }
+    return tryInject(Message(msg));
 }
 
 void
 Network::setRetryHandler(int node, std::function<void()> h)
 {
     routers[static_cast<std::size_t>(node)]->setSpaceFreedHandler(
-        std::move(h));
-}
-
-void
-Network::setEjectHandler(int node, std::function<void(Message)> h)
-{
-    routers[static_cast<std::size_t>(node)]->setEjectHandler(
         std::move(h));
 }
 

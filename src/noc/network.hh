@@ -38,18 +38,18 @@ class Network
             const FaultConfig *faults = nullptr);
 
     /**
-     * Try to inject @p msg at node msg.src. @return false when the
-     * injection port is out of buffer space; the caller should retry
+     * Try to inject @p msg at node msg.src, moving it into the network
+     * only on success. @return false when the injection port is out
+     * of buffer space (msg is left untouched); the caller should retry
      * from its retry handler.
      */
-    bool tryInject(Message msg);
+    bool tryInject(Message &&msg);
+
+    /** As above, for a message the caller keeps: it is copied in. */
+    bool tryInject(const Message &msg);
 
     /** Called whenever node @p node frees injection space. */
     void setRetryHandler(int node, std::function<void()> h);
-
-    /** Default ejection handler for node (used when a message has no
-     * deliver callback of its own). */
-    void setEjectHandler(int node, std::function<void(Message)> h);
 
     const TopologyGraph &graph() const { return topo; }
     unsigned numNodes() const { return topo.numNodes(); }
@@ -77,6 +77,9 @@ class Network
     std::uint64_t messagesDelivered() const;
 
   private:
+    /** Does node msg.src have injection space for @p msg? */
+    bool canInject(const Message &msg) const;
+
     std::string name_;
     LinkConfig cfg;
     TopologyGraph topo;

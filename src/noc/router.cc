@@ -10,7 +10,8 @@ namespace noc {
 
 Router::Router(EventQueue &eq, std::string name, int node,
                const TopologyGraph &graph_, unsigned buffer_flits,
-               Tick router_latency_ps, stats::Group &sg)
+               Tick router_latency_ps, stats::Group &sg,
+               stats::Distribution &latency)
     : eventq(eq),
       name_(std::move(name)),
       node_(node),
@@ -20,7 +21,8 @@ Router::Router(EventQueue &eq, std::string name, int node,
       statGroup(sg),
       statForwarded(sg.scalar("forwarded")),
       statEjected(sg.scalar("ejected")),
-      statBlockedCredits(sg.scalar("blockedOnCredits"))
+      statBlockedCredits(sg.scalar("blockedOnCredits")),
+      statLatencyPs(latency)
 {
     if (auto *t = eq.tracer(); t && t->enabled(obs::CatNoc)) {
         tr = t;
@@ -29,11 +31,13 @@ Router::Router(EventQueue &eq, std::string name, int node,
     }
     // One input port per incoming neighbor link plus the local
     // injection port.
-    ports.push_back(Port{injectPort, {}, 0, {}, false});
+    const auto nbs = graph.neighbors(node);
+    ports.resize(1 + nbs.size());
+    ports[0].fromNode = injectPort;
     portOfNode[injectPort] = 0;
-    for (int nb : graph.neighbors(node)) {
-        portOfNode[nb] = ports.size();
-        ports.push_back(Port{nb, {}, 0, {}, false});
+    for (std::size_t i = 0; i < nbs.size(); ++i) {
+        portOfNode[nbs[i]] = i + 1;
+        ports[i + 1].fromNode = nbs[i];
     }
 }
 
@@ -92,8 +96,7 @@ Router::kick()
 }
 
 bool
-Router::sendCopy(const Message &msg, int next_hop,
-                 bool from_injection)
+Router::canSend(const Message &msg, int next_hop, bool from_injection)
 {
     auto it = outputs.find(next_hop);
     if (it == outputs.end())
@@ -116,21 +119,36 @@ Router::sendCopy(const Message &msg, int next_hop,
             tr->instant(trk, nmCreditBlock, eventq.now(), msg.flits);
         return false;
     }
+    return true;
+}
+
+void
+Router::send(Message msg, int next_hop)
+{
     // Reserve the downstream buffer space now (credit leaves with the
     // flits) and hand the message to the link.
+    Output &out = outputs.find(next_hop)->second;
     Router *down = out.downstream;
     const int from = node_;
     Port &dport = down->ports[down->portOfNode.at(from)];
     dport.usedFlits += msg.flits;
-    Message copy = msg;
-    out.link->transmit(std::move(copy), [down, from](Message m) {
+    out.link->transmit(std::move(msg), [down, from](Message m) {
         // Space was pre-reserved; enqueue without re-reserving.
         Port &p = down->ports[down->portOfNode.at(from)];
         p.q.push_back(std::move(m));
         down->scheduleKick(down->eventq.now() + down->routerLatency);
     });
     ++statForwarded;
-    return true;
+}
+
+void
+Router::eject(Message &msg)
+{
+    ++statEjected;
+    statLatencyPs.sample(static_cast<double>(eventq.now() -
+                                             msg.injectedAt));
+    if (msg.deliver)
+        msg.deliver(node_);
 }
 
 void
@@ -177,28 +195,21 @@ Router::tryPort(Port &port)
         // have left.
         while (!port.headChildren.empty()) {
             const int child = port.headChildren.back();
-            if (!sendCopy(m, child, port.fromNode == injectPort))
+            if (!canSend(m, child, port.fromNode == injectPort))
                 return false;
+            send(m, child); // Fan-out: the one place a copy is made.
             port.headChildren.pop_back();
         }
         Message msg = std::move(m);
         popHead(port);
-        ++statEjected;
-        if (msg.deliver)
-            msg.deliver(node_);
-        else if (ejectHandler)
-            ejectHandler(std::move(msg));
+        eject(msg);
         return true;
     }
 
     if (m.dst == node_) {
         Message msg = std::move(m);
         popHead(port);
-        ++statEjected;
-        if (msg.deliver)
-            msg.deliver(node_);
-        else if (ejectHandler)
-            ejectHandler(std::move(msg));
+        eject(msg);
         return true;
     }
 
@@ -219,8 +230,12 @@ Router::tryPort(Port &port)
             msg.onDropped();
         return true;
     }
-    if (!sendCopy(m, next, port.fromNode == injectPort))
+    if (!canSend(m, next, port.fromNode == injectPort))
         return false;
+    // Send before releasing the port's credits (popHead reads the
+    // moved-from head's flit count): the upstream wake-ups it triggers
+    // follow the transmit, as they always have.
+    send(std::move(m), next);
     popHead(port);
     return true;
 }

@@ -8,11 +8,11 @@
 #ifndef DIMMLINK_NOC_ROUTER_HH
 #define DIMMLINK_NOC_ROUTER_HH
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "noc/link.hh"
 #include "noc/message.hh"
@@ -28,18 +28,18 @@ class Router
     /** Port index of the local injection queue. */
     static constexpr int injectPort = -1;
 
+    /**
+     * @param latency  the network's end-to-end latency distribution:
+     *                 every ejection samples now - msg.injectedAt
+     *                 into it just before calling msg.deliver.
+     */
     Router(EventQueue &eq, std::string name, int node,
            const TopologyGraph &graph, unsigned buffer_flits,
-           Tick router_latency_ps, stats::Group &sg);
+           Tick router_latency_ps, stats::Group &sg,
+           stats::Distribution &latency);
 
     /** Wire an output toward neighbor @p node. */
     void connectOutput(int neighbor, Link *link, Router *downstream);
-
-    /** Handler invoked when a message is ejected at this node. */
-    void setEjectHandler(std::function<void(Message)> h)
-    {
-        ejectHandler = std::move(h);
-    }
 
     /** Called when buffer space frees; used for injection backpressure. */
     void setSpaceFreedHandler(std::function<void()> h)
@@ -63,7 +63,9 @@ class Router
     struct Port
     {
         int fromNode;
-        std::deque<Message> q;
+        /** Bounded by bufferFlits: every queued message holds at
+         * least one flit of the port's credit. */
+        Ring<Message> q;
         unsigned usedFlits = 0;
         /** Remaining broadcast children for the head message. */
         std::vector<int> headChildren;
@@ -81,14 +83,22 @@ class Router
     /** True if the head of @p port made progress. */
     bool tryPort(Port &port);
     /**
-     * Send one copy toward @p next_hop; true when it left the port.
-     * Messages entering a cyclic topology from the injection port
-     * must leave a bubble (one max packet of spare buffer) in the
-     * downstream port -- bubble flow control keeps the rings
-     * deadlock-free.
+     * Can @p msg leave toward @p next_hop now? When not, arrange the
+     * retry (a kick at link-free time, or the downstream's credit
+     * release). Messages entering a cyclic topology from the
+     * injection port must leave a bubble (one max packet of spare
+     * buffer) in the downstream port -- bubble flow control keeps the
+     * rings deadlock-free.
      */
-    bool sendCopy(const Message &msg, int next_hop,
-                  bool from_injection);
+    bool canSend(const Message &msg, int next_hop, bool from_injection);
+    /**
+     * Reserve the downstream credits and put @p msg on the link
+     * toward @p next_hop. @pre canSend() just returned true. Unicast
+     * heads are moved in; only broadcast fan-out passes copies.
+     */
+    void send(Message msg, int next_hop);
+    /** Count, sample and hand an ejected message to its deliver. */
+    void eject(Message &msg);
     void popHead(Port &port);
     void notifyUpstream();
 
@@ -111,13 +121,13 @@ class Router
     Tick kickAt = 0;
     std::uint64_t kickEventId = 0;
 
-    std::function<void(Message)> ejectHandler;
     std::function<void()> spaceFreedHandler;
 
     stats::Group &statGroup;
     stats::Scalar &statForwarded;
     stats::Scalar &statEjected;
     stats::Scalar &statBlockedCredits;
+    stats::Distribution &statLatencyPs;
     /** Messages dropped for lack of a live route; created lazily so
      * fault-free runs keep the baseline stats JSON shape. */
     stats::Scalar *statDroppedUnroutable = nullptr;

@@ -28,23 +28,23 @@ struct FreeNode
 struct Pool
 {
     FreeNode *freeList[numClasses] = {};
-    // Slab backing storage. Deliberately leaked (no destructor): a
-    // block can still be live in an event queue when its thread's
-    // pool is destroyed at thread exit, and freeing the slab would
-    // leave that callback dangling. The leak is bounded by each
-    // thread's allocation high-water mark.
+    // Slab backing storage, never freed: slabs are recycled through
+    // the free lists for the life of the process, so the footprint
+    // is bounded by the allocation high-water mark.
     std::vector<void *> slabs;
 };
 
 Pool &
 pool()
 {
-    // One pool per thread: allocation and the free-list push in
-    // deallocate() are single-threaded without locks. Blocks of one
-    // size class are interchangeable, so a block allocated on thread
-    // A and freed on thread B simply joins B's free list.
-    static thread_local Pool p;
-    return p;
+    // One pool for the process. The simulator is single-threaded
+    // (one EventQueue drives one System), so allocation and the
+    // free-list push in deallocate() need no locks. Constructed on
+    // first use and deliberately never destroyed: a callback still
+    // held by a static object may be released after other statics
+    // are gone.
+    static Pool *p = new Pool;
+    return *p;
 }
 
 unsigned

@@ -26,8 +26,8 @@ namespace detail {
  * Slab-backed pool for callback captures that do not fit inline.
  * Freed blocks go onto a per-size-class free list and are reused by
  * the next oversized capture, so steady-state scheduling performs no
- * operator-new calls even for large captures. Not thread-safe, like
- * the EventQueue it serves.
+ * operator-new calls even for large captures. One static pool serves
+ * the process; it is not thread-safe, like the EventQueue it serves.
  */
 class CallbackArena
 {

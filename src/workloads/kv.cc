@@ -32,6 +32,7 @@ class KvWorkload : public Workload
           perDimm((keys + p.numDimms - 1) / p.numDimms),
           plans(serving::buildPlans(p.serve, p.numThreads, 1))
     {
+        indexPuts();
         blockAddr.resize(p.numDimms);
         for (unsigned d = 0; d < p.numDimms; ++d)
             blockAddr[d] = alloc.alloc(static_cast<DimmId>(d),
@@ -54,15 +55,15 @@ class KvWorkload : public Workload
     void
     reset() override
     {
-        store.assign(keys, 0);
-        expected.assign(keys, 0);
+        store.assign(numPutKeys, 0);
+        expected.assign(numPutKeys, 0);
         // Replay every planned PUT into the reference; XOR updates
         // commute, so the concurrent run matches in any order.
         for (unsigned t = 0; t < p.numThreads; ++t) {
             const auto &plan = plans[t];
             for (std::size_t i = 0; i < plan.reqs.size(); ++i)
                 if (!plan.reqs[i].isGet)
-                    expected[plan.keys[i]] ^=
+                    expected[putSlot[t][i]] ^=
                         putMix(plan.keys[i], t, i);
         }
     }
@@ -92,6 +93,37 @@ class KvWorkload : public Workload
     }
 
   private:
+    /**
+     * Give every distinct PUT key one dense slot and record each PUT
+     * request's slot. Only the keys some request writes carry state,
+     * so the functional store and its reference stay as small as the
+     * write set instead of spanning the whole key space.
+     */
+    void
+    indexPuts()
+    {
+        std::vector<std::uint64_t> put_keys;
+        for (const auto &plan : plans)
+            for (std::size_t i = 0; i < plan.reqs.size(); ++i)
+                if (!plan.reqs[i].isGet)
+                    put_keys.push_back(plan.keys[i]);
+        std::sort(put_keys.begin(), put_keys.end());
+        put_keys.erase(std::unique(put_keys.begin(), put_keys.end()),
+                       put_keys.end());
+        numPutKeys = put_keys.size();
+        putSlot.resize(plans.size());
+        for (std::size_t t = 0; t < plans.size(); ++t) {
+            const auto &plan = plans[t];
+            putSlot[t].assign(plan.reqs.size(), 0);
+            for (std::size_t i = 0; i < plan.reqs.size(); ++i)
+                if (!plan.reqs[i].isGet)
+                    putSlot[t][i] = static_cast<std::uint32_t>(
+                        std::lower_bound(put_keys.begin(), put_keys.end(),
+                                         plan.keys[i]) -
+                        put_keys.begin());
+        }
+    }
+
     static std::uint64_t
     putMix(std::uint64_t key, unsigned tid, std::uint64_t i)
     {
@@ -170,7 +202,7 @@ class KvWorkload : public Workload
             // Hash the key and dispatch to the value's home.
             co_yield Op::compute(16);
             if (!req.isGet)
-                store[key] ^= putMix(key, tid, i);
+                store[putSlot[tid][i]] ^= putMix(key, tid, i);
             // Only GETs hedge: duplicating a PUT would double-apply
             // the update when both sides land.
             if (hedge && req.isGet)
@@ -190,6 +222,12 @@ class KvWorkload : public Workload
     std::uint32_t valueBytes;
     std::uint64_t perDimm;
     std::vector<serving::ThreadPlan> plans;
+    /** Distinct PUT keys, and each request's dense slot among them
+     * (indexed [thread][request]; unused for GETs). */
+    std::size_t numPutKeys = 0;
+    std::vector<std::vector<std::uint32_t>> putSlot;
+    /** Functional values of the PUT keys, by slot, and their
+     * precomputed reference. */
     std::vector<std::uint64_t> store;
     std::vector<std::uint64_t> expected;
     std::vector<Addr> blockAddr;

@@ -231,6 +231,103 @@ TEST(Network, BroadcastReachesAllNodes)
         EXPECT_EQ(got.count(n), 1u) << "node " << n;
 }
 
+/** A deliver functor that counts its own copies (moves are free). */
+struct CopyCountingDeliver
+{
+    int *copies;
+    int *delivered;
+
+    CopyCountingDeliver(int *c, int *d) : copies(c), delivered(d) {}
+    CopyCountingDeliver(const CopyCountingDeliver &o)
+        : copies(o.copies), delivered(o.delivered)
+    {
+        ++*copies;
+    }
+    CopyCountingDeliver(CopyCountingDeliver &&) noexcept = default;
+    void operator()(int) const { ++*delivered; }
+};
+
+TEST(Network, UnicastMessageIsMovedNotCopiedAcrossHops)
+{
+    EventQueue eq;
+    stats::Registry reg;
+    Network net(eq, "net", testLinkCfg(Topology::HalfRing), 8, reg);
+
+    int copies = 0, delivered = 0;
+    Message m;
+    m.src = 0;
+    m.dst = 7; // Seven router hops on the half ring.
+    m.flits = 3;
+    m.deliver = CopyCountingDeliver(&copies, &delivered);
+    copies = 0;
+    ASSERT_TRUE(net.tryInject(std::move(m)));
+    eq.run();
+    EXPECT_EQ(delivered, 1);
+    EXPECT_EQ(copies, 0) << "the message was copied on its way";
+}
+
+TEST(Network, LatencyIsSampledOncePerEjection)
+{
+    EventQueue eq;
+    stats::Registry reg;
+    Network net(eq, "net", testLinkCfg(Topology::Ring), 6, reg);
+
+    unsigned ejections = 0;
+    for (int s = 0; s < 6; ++s) {
+        Message m;
+        m.src = s;
+        m.dst = (s + 3) % 6;
+        m.flits = 2;
+        m.deliver = [&](int) { ++ejections; };
+        ASSERT_TRUE(net.tryInject(std::move(m)));
+    }
+    eq.run();
+    const auto &lat = reg.group("net").distribution("latencyPs");
+    EXPECT_EQ(ejections, 6u);
+    EXPECT_EQ(lat.count(), 6u);
+
+    // A broadcast ejects once at every node, the source included,
+    // and each ejection samples its latency once.
+    std::multiset<int> got;
+    Message b;
+    b.src = 1;
+    b.broadcast = true;
+    b.flits = 4;
+    b.deliver = [&](int node) { got.insert(node); };
+    ASSERT_TRUE(net.tryInject(std::move(b)));
+    eq.run();
+    EXPECT_EQ(got.size(), 6u);
+    for (int n = 0; n < 6; ++n)
+        EXPECT_EQ(got.count(n), 1u) << "node " << n;
+    EXPECT_EQ(lat.count(), 12u);
+    EXPECT_EQ(net.messagesDelivered(), lat.count());
+}
+
+TEST(Network, LvalueInjectionLeavesTheMessageWithTheCaller)
+{
+    EventQueue eq;
+    stats::Registry reg;
+    // Tiny buffers: one 4-flit message fills the injection port.
+    Network net(eq, "net", testLinkCfg(Topology::HalfRing, 4), 2, reg);
+
+    unsigned delivered = 0;
+    Message m;
+    m.src = 0;
+    m.dst = 1;
+    m.flits = 4;
+    m.deliver = [&](int) { ++delivered; };
+    ASSERT_TRUE(net.tryInject(m));
+    // The port is full: the second copy is refused, and the caller's
+    // message (and its deliver) is intact for the retry.
+    EXPECT_FALSE(net.tryInject(m));
+    ASSERT_TRUE(static_cast<bool>(m.deliver));
+    while (!net.tryInject(m))
+        ASSERT_TRUE(eq.step());
+    eq.run();
+    EXPECT_EQ(delivered, 2u);
+    EXPECT_EQ(reg.scalar("net.injectBlocked"), 2.0);
+}
+
 TEST(Network, InjectionBackpressureAndRetry)
 {
     EventQueue eq;

@@ -277,7 +277,7 @@ driveFabric(const SystemConfig &cfg, bool via_registry)
     }
 
     fabric->setMemAccess([&eq](DimmId, Addr, std::uint32_t, bool,
-                               std::function<void()> done) {
+                               EventCallback done) {
         eq.scheduleIn(60 * tickPerNs, std::move(done));
     });
     fabric->enterNmpMode();
