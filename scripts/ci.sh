@@ -373,4 +373,31 @@ assert rack.get("parkedTransfers", 0) > 0, \
 EOF
 echo "    chaos OK: outage bitten, tail bounded, partition holds"
 
+echo "==> run record replays from its own config header"
+# The stats JSON's config section holds every key that can change a
+# result (only the result-neutral obs.* keys are left out): rerunning
+# from that section alone must reproduce the stats byte for byte.
+"$root/build/examples/example_simulate" \
+    --config "$root/configs/rack_2host.json" -p serve.requests=512 \
+    --workload kv --json > "$trace_dir/record.out"
+python3 - "$trace_dir/record.out" "$trace_dir/record.json" <<'EOF'
+import sys
+text = open(sys.argv[1]).read()
+begin = text.index('{', text.index('\n  "config": '))
+open(sys.argv[2], "w").write(text[begin:text.index('}', begin) + 1])
+EOF
+"$root/build/examples/example_simulate" \
+    --config "$trace_dir/record.json" \
+    --workload kv --json > "$trace_dir/replay.out"
+for run in record replay; do
+    sed -n '/^{$/,$p' "$trace_dir/$run.out" > "$trace_dir/$run.stats"
+done
+if [ ! -s "$trace_dir/record.stats" ] || \
+    ! cmp -s "$trace_dir/record.stats" "$trace_dir/replay.stats"; then
+    echo "replay from the emitted config header diverged"
+    diff "$trace_dir/record.stats" "$trace_dir/replay.stats" | cut -c1-160 | head
+    exit 1
+fi
+echo "    replay OK: byte-identical stats JSON from the header alone"
+
 echo "==> CI green"

@@ -279,28 +279,23 @@ struct Field
     const char *key;
     std::string (*get)(const SystemConfig &);
     void (*set)(SystemConfig &, const std::string &);
-    /** Part of describe()/describeEntries()? The obs.* keys are not:
-     * tracing never changes simulation results, and keeping them out
-     * of the config header means stats JSON is byte-identical whether
-     * a run was traced or not. */
+    /** Part of describe()/describeEntries()? Every key that can
+     * change a result is, so a run replays from its own stats header.
+     * The obs.* keys are not: tracing and sampling never change what
+     * the simulation computes, so a traced run's stats JSON stays
+     * byte-identical to an untraced one. */
     bool describable = true;
 };
 
-#define CFG_FIELD(key, expr)                                            \
+#define CFG_FIELD_AS(key, expr, describable)                            \
     Field{key,                                                          \
           [](const SystemConfig &c) { return formatValue(c.expr); },    \
           [](SystemConfig &c, const std::string &v) {                   \
               c.expr = parseValue(v, key, c.expr);                      \
           },                                                            \
-          true}
-
-#define CFG_FIELD_HIDDEN(key, expr)                                     \
-    Field{key,                                                          \
-          [](const SystemConfig &c) { return formatValue(c.expr); },    \
-          [](SystemConfig &c, const std::string &v) {                   \
-              c.expr = parseValue(v, key, c.expr);                      \
-          },                                                            \
-          false}
+          describable}
+#define CFG_FIELD(key, expr) CFG_FIELD_AS(key, expr, true)
+#define CFG_FIELD_HIDDEN(key, expr) CFG_FIELD_AS(key, expr, false)
 
 const std::vector<Field> &
 fields()
@@ -320,10 +315,9 @@ fields()
 
         // The `dram` section aliases into the timing-preset registry:
         // `dram.standard = ddr5` resolves to that family's default
-        // speed grade, an exact grade name passes through. Hidden so
-        // the config header embedded in stats JSON (and with it the
-        // default path's byte-identity) is unchanged;
-        // `system.dramPreset` stays the describable source of truth.
+        // speed grade, an exact grade name passes through. Hidden
+        // because it is an input alias, not state: its whole effect
+        // is recorded by `system.dramPreset`.
         Field{"dram.standard",
               [](const SystemConfig &c) {
                   return formatValue(
@@ -392,10 +386,9 @@ fields()
         CFG_FIELD("faults.stuckForPs", faults.stuckForPs),
         CFG_FIELD("faults.stuckPeriodPs", faults.stuckPeriodPs),
         CFG_FIELD("faults.linkFilter", faults.linkFilter),
-        CFG_FIELD_HIDDEN("faults.suspectAfter", faults.suspectAfter),
-        CFG_FIELD_HIDDEN("faults.reprobeIntervalPs",
-                         faults.reprobeIntervalPs),
-        CFG_FIELD_HIDDEN("faults.onExhausted", faults.onExhausted),
+        CFG_FIELD("faults.suspectAfter", faults.suspectAfter),
+        CFG_FIELD("faults.reprobeIntervalPs", faults.reprobeIntervalPs),
+        CFG_FIELD("faults.onExhausted", faults.onExhausted),
 
         CFG_FIELD("serve.mode", serve.mode),
         CFG_FIELD("serve.offeredQps", serve.offeredQps),
@@ -413,13 +406,11 @@ fields()
         CFG_FIELD("serve.burstLenPs", serve.burstLenPs),
         CFG_FIELD("serve.latBucketPs", serve.latBucketPs),
         CFG_FIELD("serve.latBuckets", serve.latBuckets),
-        // Hidden like rack.*: a run with the reliability layer off
-        // must dump byte-identical stats JSON to a build without it.
-        CFG_FIELD_HIDDEN("serve.deadlineUs", serve.deadlineUs),
-        CFG_FIELD_HIDDEN("serve.maxRetries", serve.maxRetries),
-        CFG_FIELD_HIDDEN("serve.backoffUs", serve.backoffUs),
-        CFG_FIELD_HIDDEN("serve.hedgeAfterUs", serve.hedgeAfterUs),
-        CFG_FIELD_HIDDEN("serve.maxInflight", serve.maxInflight),
+        CFG_FIELD("serve.deadlineUs", serve.deadlineUs),
+        CFG_FIELD("serve.maxRetries", serve.maxRetries),
+        CFG_FIELD("serve.backoffUs", serve.backoffUs),
+        CFG_FIELD("serve.hedgeAfterUs", serve.hedgeAfterUs),
+        CFG_FIELD("serve.maxInflight", serve.maxInflight),
 
         CFG_FIELD("energy.linkPjPerBit", energy.linkPjPerBit),
         CFG_FIELD("energy.ddrRdWrPjPerBit", energy.ddrRdWrPjPerBit),
@@ -439,29 +430,27 @@ fields()
         CFG_FIELD_HIDDEN("obs.sampleOut", obs.sampleOut),
         CFG_FIELD_HIDDEN("obs.ringCapacity", obs.ringCapacity),
 
-        CFG_FIELD_HIDDEN("watchdog.stallPs", watchdog.stallPs),
+        CFG_FIELD("watchdog.stallPs", watchdog.stallPs),
 
-        // Hidden like obs.*: a single-host config (rack.hosts = 1)
-        // must dump byte-identical stats JSON to a build without the
-        // rack layer.
-        CFG_FIELD_HIDDEN("rack.hosts", rack.hosts),
-        CFG_FIELD_HIDDEN("rack.fabric", rack.fabric),
-        CFG_FIELD_HIDDEN("rack.idcMode", rack.idcMode),
-        CFG_FIELD_HIDDEN("rack.latencyPs", rack.latencyPs),
-        CFG_FIELD_HIDDEN("rack.switchHopPs", rack.switchHopPs),
-        CFG_FIELD_HIDDEN("rack.portGBps", rack.portGBps),
-        CFG_FIELD_HIDDEN("rack.pooledGBps", rack.pooledGBps),
-        CFG_FIELD_HIDDEN("rack.groupsPerHost", rack.groupsPerHost),
-        CFG_FIELD_HIDDEN("rack.hostDownId", rack.hostDownId),
-        CFG_FIELD_HIDDEN("rack.hostDownAtPs", rack.hostDownAtPs),
-        CFG_FIELD_HIDDEN("rack.hostDownForPs", rack.hostDownForPs),
-        CFG_FIELD_HIDDEN("rack.nodeDownId", rack.nodeDownId),
-        CFG_FIELD_HIDDEN("rack.nodeDownAtPs", rack.nodeDownAtPs),
-        CFG_FIELD_HIDDEN("rack.nodeDownForPs", rack.nodeDownForPs),
+        CFG_FIELD("rack.hosts", rack.hosts),
+        CFG_FIELD("rack.fabric", rack.fabric),
+        CFG_FIELD("rack.idcMode", rack.idcMode),
+        CFG_FIELD("rack.latencyPs", rack.latencyPs),
+        CFG_FIELD("rack.switchHopPs", rack.switchHopPs),
+        CFG_FIELD("rack.portGBps", rack.portGBps),
+        CFG_FIELD("rack.pooledGBps", rack.pooledGBps),
+        CFG_FIELD("rack.groupsPerHost", rack.groupsPerHost),
+        CFG_FIELD("rack.hostDownId", rack.hostDownId),
+        CFG_FIELD("rack.hostDownAtPs", rack.hostDownAtPs),
+        CFG_FIELD("rack.hostDownForPs", rack.hostDownForPs),
+        CFG_FIELD("rack.nodeDownId", rack.nodeDownId),
+        CFG_FIELD("rack.nodeDownAtPs", rack.nodeDownAtPs),
+        CFG_FIELD("rack.nodeDownForPs", rack.nodeDownForPs),
     };
     return table;
 }
 
+#undef CFG_FIELD_AS
 #undef CFG_FIELD
 #undef CFG_FIELD_HIDDEN
 
@@ -671,7 +660,7 @@ SystemConfig::validate() const
 
     // Rack-scale pooling. Only the multi-host case is constrained:
     // single-host configs must never fatal on leftover rack keys (the
-    // layer is invisible when unused).
+    // layer builds nothing when unused).
     if (rack.hosts == 0)
         fatal("rack.hosts must be positive (1 = single-host)");
     if (rack.hosts > 1) {

@@ -200,10 +200,7 @@ struct FaultConfig
      * (empty = every link). */
     std::string linkFilter;
 
-    // Failure recovery. These keys are hidden from describe() (like
-    // obs.*) so the config header in stats JSON keeps its shape: a
-    // faults.model=none run dumps byte-identical output whether or
-    // not a build knows about recovery.
+    // Failure recovery (active only with a fault model configured).
     /** Consecutive DLL retry exhaustions blaming a link before its
      * health drops from up to suspect (probing then decides). */
     unsigned suspectAfter = 2;
@@ -221,8 +218,7 @@ struct FaultConfig
  * Hang watchdog (src/system/watchdog.hh): detects an event queue that
  * went quiescent while the kernel still has outstanding work, and
  * fatal()s with a diagnostic dump instead of spinning or silently
- * mis-terminating. Off by default; the watchdog.* keys are hidden
- * from describe() for the same stats-shape reason as obs.*.
+ * mis-terminating. Off by default.
  */
 struct WatchdogConfig
 {
@@ -233,9 +229,10 @@ struct WatchdogConfig
 /**
  * Observability: event tracing and periodic counter sampling
  * (src/obs/, docs/observability.md). Tracing is read-only -- turning
- * it on or off never changes what the simulation computes -- and the
- * obs.* keys are deliberately excluded from describe()/describeEntries()
- * so stats JSON stays byte-identical across tracing configurations.
+ * it on or off never changes what the simulation computes. That is
+ * why the obs.* keys, unlike every key that can change a result, stay
+ * out of describe()/describeEntries(): stats JSON is byte-identical
+ * across tracing configurations.
  */
 struct ObsConfig
 {
@@ -306,10 +303,8 @@ struct ServeConfig
     Tick latBucketPs = 250000;
     unsigned latBuckets = 2048;
 
-    // --- Request-level reliability layer (docs/serving.md). Hidden
-    // keys like rack.*: with every knob at its default the layer
-    // builds nothing and stats JSON is byte-identical to a build
-    // that predates it.
+    // --- Request-level reliability layer (docs/serving.md). With
+    // every knob at its default the layer is off (relEnabled()).
 
     /** End-to-end deadline per request; a request still in flight
      * past arrival + deadline is aborted and counted as
@@ -353,10 +348,8 @@ struct ServeConfig
  * that connect the hosts' gateway pool nodes directly and bypass
  * both host CPUs.
  *
- * Like obs.*, every rack.* key is hidden from describe():
- * with rack.hosts = 1 (the default) the rack layer builds nothing,
- * touches nothing, and a config without a rack section produces
- * byte-identical stats JSON to a build that predates it.
+ * With rack.hosts = 1 (the default) the rack layer builds nothing and
+ * touches nothing; the other rack.* keys then have no effect.
  */
 struct RackConfig
 {

@@ -77,7 +77,7 @@ dumpJson(const Registry &reg, std::ostream &os, bool include_empty,
             // quotes strings itself).
             os << "\"" << jsonEscape(key) << "\": " << value;
         }
-        os << "}";
+        os << "},\n  \"schemaVersion\": " << schemaVersion;
     }
     reg.forEachGroup([&](const Group &g) {
         const bool has_scalars = [&] {

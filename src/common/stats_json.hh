@@ -20,15 +20,26 @@ struct SystemConfig;
 namespace stats {
 
 /**
+ * Version of the run-record layout, emitted as the top-level
+ * "schemaVersion" next to the config section. Version 2: the config
+ * section holds every key that can change a result, so the record
+ * replays through SystemConfig::fromString(). Version 1 (unmarked)
+ * hid the rack, recovery, reliability and watchdog keys.
+ */
+inline constexpr int schemaVersion = 2;
+
+/**
  * Serialize the registry as a JSON object:
  *   { "group": { "scalars": {..}, "distributions": { name:
  *     {count,mean,min,max} } }, ... }
- * Groups with no populated statistics are omitted unless
- * @p include_empty is set. Output is deterministic (sorted names).
+ * Zero-valued statistics, and groups with none populated, are
+ * omitted unless @p include_empty is set. Output is deterministic
+ * (sorted names).
  *
  * When @p config is given, a leading "config" section holds the fully
  * resolved configuration (SystemConfig::describeEntries()), so every
- * stats file records the exact machine that produced it.
+ * stats file records the exact machine that produced it, followed by
+ * "schemaVersion".
  */
 void dumpJson(const Registry &reg, std::ostream &os,
               bool include_empty = false,

@@ -18,17 +18,24 @@ NmpCore::NmpCore(EventQueue &eq, const std::string &name, DimmId dimm_,
       mc(mc_),
       l1(l1_),
       l2(l2_),
-      statInstructions(reg.group(name).scalar("instructions")),
-      statMemRefs(reg.group(name).scalar("memRefs")),
-      statRemoteRefs(reg.group(name).scalar("remoteRefs")),
-      statComputePs(reg.group(name).scalar("computePs")),
-      statStallLocal(reg.group(name).scalar("stallLocalPs")),
-      statStallRemote(reg.group(name).scalar("stallRemotePs")),
-      statBarrierPs(reg.group(name).scalar("barrierPs")),
-      statBroadcasts(reg.group(name).scalar("broadcasts")),
-      statRequests(reg.group(name).scalar("requests")),
-      statReqWaitPs(reg.group(name).scalar("reqWaitPs")),
-      statGroup(reg.group(name))
+      statGroup(reg.group(name)),
+      statInstructions(statGroup.scalar("instructions")),
+      statMemRefs(statGroup.scalar("memRefs")),
+      statRemoteRefs(statGroup.scalar("remoteRefs")),
+      statComputePs(statGroup.scalar("computePs")),
+      statStallLocal(statGroup.scalar("stallLocalPs")),
+      statStallRemote(statGroup.scalar("stallRemotePs")),
+      statBarrierPs(statGroup.scalar("barrierPs")),
+      statBroadcasts(statGroup.scalar("broadcasts")),
+      statRequests(statGroup.scalar("requests")),
+      statReqWaitPs(statGroup.scalar("reqWaitPs")),
+      relDeadlineMiss(statGroup.scalar("reqDeadlineMisses")),
+      relShed(statGroup.scalar("reqShed")),
+      relRetries(statGroup.scalar("reqRetries")),
+      relFastFails(statGroup.scalar("reqFastFails")),
+      relFailed(statGroup.scalar("reqFailed")),
+      relHedges(statGroup.scalar("reqHedges")),
+      relHedgeWins(statGroup.scalar("reqHedgeWins"))
 {
     if (auto *t = eq.tracer(); t && t->enabled(obs::CatCore)) {
         tr = t;
@@ -263,23 +270,6 @@ NmpCore::issueRef(const MemRef &ref)
               std::move(response));
 }
 
-void
-NmpCore::ensureRelStats()
-{
-    if (relDeadlineMiss)
-        return;
-    // Created together, at the first reliability ReqStart: batch
-    // runs (and serving runs with the layer off) keep byte-identical
-    // stats output to builds that predate the layer.
-    relDeadlineMiss = &statGroup.scalar("reqDeadlineMisses");
-    relShed = &statGroup.scalar("reqShed");
-    relRetries = &statGroup.scalar("reqRetries");
-    relFastFails = &statGroup.scalar("reqFastFails");
-    relFailed = &statGroup.scalar("reqFailed");
-    relHedges = &statGroup.scalar("reqHedges");
-    relHedgeWins = &statGroup.scalar("reqHedgeWins");
-}
-
 /**
  * Dispatch the current ReqStart op under the reliability engine.
  * Re-entrant: arrival waits and retry backoffs park the core and
@@ -303,7 +293,6 @@ NmpCore::relReqStart()
         breakerTarget = -1;
         attempts = 0;
         ++reqSeq;
-        ensureRelStats();
         reqStart = op.tickArg == Op::reqNow ? now()
                                             : runStart + op.tickArg;
     }
@@ -329,7 +318,7 @@ NmpCore::relReqStart()
         // being picked up past it means the queue is at least that
         // deep -- shed instead of serving a hopeless straggler.
         if (op.tickArg2 != 0 && now() >= runStart + op.tickArg2) {
-            ++*relShed;
+            ++relShed;
             reqAborted = true;
             finishOp();
             return true;
@@ -340,7 +329,7 @@ NmpCore::relReqStart()
         const Tick dl = reqStart + rel->deadlinePs;
         if (dl <= now()) {
             // Queueing already ate the whole budget.
-            ++*relDeadlineMiss;
+            ++relDeadlineMiss;
             reqAborted = true;
             finishOp();
             return true;
@@ -354,7 +343,7 @@ NmpCore::relReqStart()
                                  return;
                              if (!reqInProgress || reqAborted)
                                  return;
-                             ++*relDeadlineMiss;
+                             ++relDeadlineMiss;
                              abortInFlight();
                          },
                          EventPriority::Core);
@@ -370,15 +359,15 @@ NmpCore::relReqStart()
             const Decision d = breaker.admit(target, up, now(),
                                              rel->breakerReopenPs);
             if (d == Decision::FastFail) {
-                ++*relFastFails;
+                ++relFastFails;
                 if (attempts >= rel->maxRetries) {
-                    ++*relFailed;
+                    ++relFailed;
                     reqAborted = true;
                     finishOp();
                     return true;
                 }
                 ++attempts;
-                ++*relRetries;
+                ++relRetries;
                 state = State::Backoff;
                 const auto gen = runGeneration;
                 const auto seq = reqSeq;
@@ -448,7 +437,7 @@ void
 NmpCore::launchHedge()
 {
     hedgeLaunched = true;
-    ++*relHedges;
+    ++relHedges;
     // The hedge fanout gets a dedicated issue window past the MSHR
     // cap: queueing it behind its own stuck primary would defeat it.
     issueSide = 1;
@@ -470,7 +459,7 @@ NmpCore::settleHedge(unsigned winner)
 {
     const unsigned loser = 1 - winner;
     if (hedgeLaunched && winner == 1)
-        ++*relHedgeWins;
+        ++relHedgeWins;
     if (outSide[loser] > 0) {
         stale += outSide[loser];
         outstanding -= outSide[loser];

@@ -109,7 +109,6 @@ class NmpCore : public Clocked
 
     // Reliability engine (no-ops unless setReliability armed it).
     bool relReqStart();
-    void ensureRelStats();
     void abortInFlight();
     void launchHedge();
     void settleHedge(unsigned winner);
@@ -176,16 +175,7 @@ class NmpCore : public Clocked
     unsigned outSide[2] = {0, 0};
     unsigned remoteSide[2] = {0, 0};
 
-    /** Lazily created with the first reliability ReqStart, so every
-     * run with the layer off keeps byte-identical stats output. */
-    stats::Scalar *relDeadlineMiss = nullptr;
-    stats::Scalar *relShed = nullptr;
-    stats::Scalar *relRetries = nullptr;
-    stats::Scalar *relFastFails = nullptr;
-    stats::Scalar *relFailed = nullptr;
-    stats::Scalar *relHedges = nullptr;
-    stats::Scalar *relHedgeWins = nullptr;
-
+    stats::Group &statGroup;
     stats::Scalar &statInstructions;
     stats::Scalar &statMemRefs;
     stats::Scalar &statRemoteRefs;
@@ -196,11 +186,18 @@ class NmpCore : public Clocked
     stats::Scalar &statBroadcasts;
     stats::Scalar &statRequests;
     stats::Scalar &statReqWaitPs;
-    /** The core's stat group, kept for the lazily-created request-
-     * latency histogram: creating it only when a serving workload
-     * actually retires a request keeps every non-serving run's stats
-     * output byte-identical to builds without the serving frontend. */
-    stats::Group &statGroup;
+    // Reliability-layer request outcomes (zero unless it is armed).
+    stats::Scalar &relDeadlineMiss;
+    stats::Scalar &relShed;
+    stats::Scalar &relRetries;
+    stats::Scalar &relFastFails;
+    stats::Scalar &relFailed;
+    stats::Scalar &relHedges;
+    stats::Scalar &relHedgeWins;
+    /** Request-latency histogram, created when the core retires its
+     * first serving request. Lazy for memory: latBuckets counters of
+     * 8 B each (16 KiB at the default 2048) on every core would add
+     * about 1 MiB to a 64-core machine that serves nothing. */
     stats::Histogram *reqHist = nullptr;
 
     obs::Tracer *tr = nullptr; ///< Null unless core tracing is on.

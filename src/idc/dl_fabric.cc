@@ -60,7 +60,22 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
       statDllFailedTransfers(
           reg.group("fabric.dl").scalar("dllFailedTransfers")),
       statDllCtrlDropped(
-          reg.group("fabric.dl").scalar("dllCtrlDropped"))
+          reg.group("fabric.dl").scalar("dllCtrlDropped")),
+      statFailovers(reg.group("fabric.dl").scalar("dllFailovers")),
+      statFailoverBytes(reg.group("fabric.dl").scalar("failoverBytes")),
+      statStreamResyncs(
+          reg.group("fabric.dl").scalar("dllStreamResyncs")),
+      statHostReroutes(reg.group("fabric.dl").scalar("hostReroutes")),
+      statProxyNotifyFallbacks(
+          reg.group("fabric.dl").scalar("proxyNotifyFallbacks")),
+      statHealthSuspect(
+          reg.group("fabric.dl").scalar("linkSuspectEvents")),
+      statHealthDown(reg.group("fabric.dl").scalar("linkDownEvents")),
+      statHealthRecovered(
+          reg.group("fabric.dl").scalar("linkRecoveredEvents")),
+      statProbesSent(reg.group("fabric.dl").scalar("healthProbesSent")),
+      statProbesFailed(
+          reg.group("fabric.dl").scalar("healthProbesFailed"))
 {
     if (auto *t = eq.tracer(); t && t->enabled(obs::CatDll)) {
         tr = t;
@@ -119,19 +134,6 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
                 cfg.link.maxRetries, reg, cfg.link.retryWindow,
                 sender_fb));
         }
-        // Recovery-path counters exist only alongside the fault model
-        // so fault-free runs keep the baseline stats JSON shape.
-        auto &sg = reg.group("fabric.dl");
-        statFailovers = &sg.scalar("dllFailovers");
-        statFailoverBytes = &sg.scalar("failoverBytes");
-        statStreamResyncs = &sg.scalar("dllStreamResyncs");
-        statHostReroutes = &sg.scalar("hostReroutes");
-        statProxyNotifyFallbacks = &sg.scalar("proxyNotifyFallbacks");
-        statHealthSuspect = &sg.scalar("linkSuspectEvents");
-        statHealthDown = &sg.scalar("linkDownEvents");
-        statHealthRecovered = &sg.scalar("linkRecoveredEvents");
-        statProbesSent = &sg.scalar("healthProbesSent");
-        statProbesFailed = &sg.scalar("healthProbesFailed");
         // One health tracker per group, probing over the physical
         // links and feeding route recomputation on down/up edges.
         for (unsigned g = 0; g < groups; ++g) {
@@ -153,7 +155,7 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
                 onHealthTransition(g, a, b, from, to);
             };
             cbs.onProbeFailed = [this](int, int) {
-                ++*statProbesFailed;
+                ++statProbesFailed;
             };
             h->setCallbacks(std::move(cbs));
             health.push_back(std::move(h));
@@ -182,7 +184,7 @@ DlFabric::sendHealthProbe(unsigned group, int a, int b,
     noc::Link *l = nets[group]->linkBetween(a, b);
     if (!l)
         return; // Not adjacent; the probe timeout stands in.
-    ++*statProbesSent;
+    ++statProbesSent;
     // Probes bypass routing and credits on purpose: they test the
     // physical link itself, so a route-around must not make a dead
     // link look alive.
@@ -207,18 +209,18 @@ DlFabric::onHealthTransition(unsigned group, int a, int b,
                               static_cast<std::uint64_t>(b);
     switch (to) {
       case fault::LinkState::Suspect:
-        ++*statHealthSuspect;
+        ++statHealthSuspect;
         if (tr)
             tr->instant(trk, nmLinkSuspect, eventq.now(), arg);
         break;
       case fault::LinkState::Down:
-        ++*statHealthDown;
+        ++statHealthDown;
         nets[group]->setLinkDown(a, b, true);
         if (tr)
             tr->instant(trk, nmLinkDown, eventq.now(), arg);
         break;
       case fault::LinkState::Up:
-        ++*statHealthRecovered;
+        ++statHealthRecovered;
         if (from == fault::LinkState::Down)
             nets[group]->setLinkDown(a, b, false);
         if (tr)
@@ -552,7 +554,7 @@ void
 DlFabric::hostFallback(DimmId s, DimmId d, std::uint64_t payload_bytes,
                        EventCallback delivered)
 {
-    ++*statHostReroutes;
+    ++statHostReroutes;
     const auto wire = static_cast<unsigned>(wireBytesFor(payload_bytes));
     ++statPacketsHost;
     statBytesViaHost += wire;
@@ -728,9 +730,9 @@ DlFabric::dllFailed(XferId h)
         // stays intact. The forwarded image carries the DLL header, so
         // its arrival also resyncs the receiver's stream past the
         // retired sequence.
-        ++*statFailovers;
+        ++statFailovers;
         const auto wire = static_cast<unsigned>(wireBytesFor(payload));
-        *statFailoverBytes += wire;
+        statFailoverBytes += wire;
         ++statPacketsHost;
         statBytesViaHost += wire;
         if (tr)
@@ -864,8 +866,7 @@ DlFabric::dllReceive(DimmId d, const std::vector<std::uint8_t> &wire)
 void
 DlFabric::dllStreamResync(DimmId s, DimmId d, std::uint16_t seq)
 {
-    if (statStreamResyncs)
-        ++*statStreamResyncs;
+    ++statStreamResyncs;
     if (tr)
         tr->instant(trk, nmDllResync, eventq.now(), seq);
     // The destination's controller learns the retired sequence from
@@ -1004,8 +1005,7 @@ DlFabric::forwardFallback(DimmId proxy, EventCallback job)
     // the note would arrive): the host discovers the request on its
     // own polling cadence instead — modeled as one extra poll interval
     // of discovery latency.
-    if (statProxyNotifyFallbacks)
-        ++*statProxyNotifyFallbacks;
+    ++statProxyNotifyFallbacks;
     eventq.scheduleIn(cfg.host.pollIntervalPs,
                       [this, proxy, job = std::move(job)]() mutable {
                           path.request(proxy, std::move(job));

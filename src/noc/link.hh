@@ -42,9 +42,7 @@ class Link
 
     /**
      * Attach a fault model; every subsequent transmit() passes
-     * through it. nullptr detaches. The fault stats scalars are
-     * created lazily here so unfaulted runs keep the baseline stats
-     * JSON shape.
+     * through it. nullptr detaches.
      */
     void setFaultModel(std::unique_ptr<fault::FaultModel> m);
 
@@ -92,15 +90,15 @@ class Link
      */
     Ring<InFlight> inFlight;
 
-    stats::Group &statGroup;
     stats::Scalar &statFlits;
     stats::Scalar &statMessages;
     stats::Scalar &statBusyPs;
 
+    stats::Scalar &statFaultCorrupted;
+    stats::Scalar &statFaultStalledPs;
+    stats::Scalar &statFaultDeratedPs;
+
     std::unique_ptr<fault::FaultModel> faultModel;
-    stats::Scalar *statFaultCorrupted = nullptr;
-    stats::Scalar *statFaultStalledPs = nullptr;
-    stats::Scalar *statFaultDeratedPs = nullptr;
 
     obs::Tracer *tr = nullptr; ///< Null unless noc tracing is on.
     std::uint32_t trk = 0;

@@ -18,10 +18,10 @@ Router::Router(EventQueue &eq, std::string name, int node,
       graph(graph_),
       bufferFlits(buffer_flits),
       routerLatency(router_latency_ps),
-      statGroup(sg),
       statForwarded(sg.scalar("forwarded")),
       statEjected(sg.scalar("ejected")),
       statBlockedCredits(sg.scalar("blockedOnCredits")),
+      statDroppedUnroutable(sg.scalar("droppedUnroutable")),
       statLatencyPs(latency)
 {
     if (auto *t = eq.tracer(); t && t->enabled(obs::CatNoc)) {
@@ -220,10 +220,7 @@ Router::tryPort(Port &port)
         // route). Drop it: DLL-protected traffic recovers through the
         // sender's retry timeout and the exhaustion policy; senders
         // without retries install onDropped as their fallback.
-        if (statDroppedUnroutable == nullptr)
-            statDroppedUnroutable =
-                &statGroup.scalar("droppedUnroutable");
-        ++*statDroppedUnroutable;
+        ++statDroppedUnroutable;
         Message msg = std::move(m);
         popHead(port);
         if (msg.onDropped)

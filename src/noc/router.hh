@@ -123,14 +123,12 @@ class Router
 
     std::function<void()> spaceFreedHandler;
 
-    stats::Group &statGroup;
     stats::Scalar &statForwarded;
     stats::Scalar &statEjected;
     stats::Scalar &statBlockedCredits;
+    /** Messages dropped for lack of a live route. */
+    stats::Scalar &statDroppedUnroutable;
     stats::Distribution &statLatencyPs;
-    /** Messages dropped for lack of a live route; created lazily so
-     * fault-free runs keep the baseline stats JSON shape. */
-    stats::Scalar *statDroppedUnroutable = nullptr;
 
     obs::Tracer *tr = nullptr; ///< Null unless noc tracing is on.
     std::uint32_t trk = 0;

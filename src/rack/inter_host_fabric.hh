@@ -139,10 +139,8 @@ class InterHostFabric
     stats::Scalar &statPortRecovered;
     stats::Scalar &statProbesSent;
     stats::Scalar &statProbesFailed;
+    stats::Scalar &statParked;
     stats::Distribution &statCrossLatencyPs;
-    /** Created only when an outage is scheduled, so outage-free runs
-     * keep byte-identical stats output. */
-    stats::Scalar *statParked = nullptr;
     AvailabilitySink availSink;
 };
 

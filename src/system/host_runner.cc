@@ -23,14 +23,10 @@ class HostRunner::HostCore : public Clocked
                   owner.cfg.host.coreFreqMHz),
           owner(owner),
           idx(idx),
-          statInstructions(owner.registry
-                               .group(name())
-                               .scalar("instructions")),
-          statStallPs(
-              owner.registry.group(name()).scalar("stallPs")),
-          statRequests(
-              owner.registry.group(name()).scalar("requests")),
-          statGroup(owner.registry.group(name()))
+          statGroup(owner.registry.group(name())),
+          statInstructions(statGroup.scalar("instructions")),
+          statStallPs(statGroup.scalar("stallPs")),
+          statRequests(statGroup.scalar("requests"))
     {
     }
 
@@ -242,10 +238,12 @@ class HostRunner::HostCore : public Clocked
     Tick runStart = 0;
     Tick reqStart = 0;
 
+    stats::Group &statGroup;
     stats::Scalar &statInstructions;
     stats::Scalar &statStallPs;
     stats::Scalar &statRequests;
-    stats::Group &statGroup;
+    /** Created at the first retired request. Lazy for memory, as on
+     * the NMP cores: latBuckets 8-byte counters per core. */
     stats::Histogram *reqHist = nullptr;
 };
 

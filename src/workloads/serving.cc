@@ -1,5 +1,7 @@
 #include "workloads/serving.hh"
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 
 #include "common/log.hh"
@@ -92,9 +94,7 @@ aggregate(stats::Registry &reg, const SystemConfig &cfg,
         static_cast<double>(cfg.serve.latBucketPs),
         cfg.serve.latBuckets);
     double wait_ps = 0;
-    // Reliability counters (docs/serving.md): the per-core scalars
-    // exist only when a core dispatched a ReqStart with the layer
-    // armed, so folding them keeps rel-off runs byte-identical.
+    // Reliability counters (docs/serving.md), summed over the cores.
     struct RelCounter
     {
         const char *coreName; ///< Per-core scalar name.
@@ -110,7 +110,6 @@ aggregate(stats::Registry &reg, const SystemConfig &cfg,
         {"reqHedges", "hedgedRequests"},
         {"reqHedgeWins", "hedgeWins"},
     };
-    bool relSeen = false;
     // Under rack pooling the same walk also folds each host's pool
     // partition into a per-host SLO histogram; single-host runs
     // build nothing extra so their stats JSON keeps its shape.
@@ -138,17 +137,20 @@ aggregate(stats::Registry &reg, const SystemConfig &cfg,
             wait_ps += sit->second.value();
         for (RelCounter &rc : relCounters) {
             const auto rit = g.scalars().find(rc.coreName);
-            if (rit != g.scalars().end()) {
-                relSeen = true;
+            if (rit != g.scalars().end())
                 rc.sum += rit->second.value();
-            }
         }
     });
-    // Zero completed requests still produce an explicit all-zero
-    // block when the reliability layer ran (everything may have been
-    // shed or failed fast -- that IS the result); without it there is
-    // nothing serving-shaped to report.
-    if (merged.total() == 0 && !relSeen)
+    // The reliability layer ran when it is armed and a request
+    // reached it. Then zero completed requests still produce a block
+    // (everything may have been shed or failed fast -- that IS the
+    // result); otherwise there is nothing serving-shaped to report.
+    const bool relRan =
+        cfg.serve.relEnabled() &&
+        (merged.total() > 0 ||
+         std::any_of(std::begin(relCounters), std::end(relCounters),
+                     [](const RelCounter &rc) { return rc.sum > 0; }));
+    if (merged.total() == 0 && !relRan)
         return false;
 
     stats::Group &serve = reg.group("serve");
@@ -173,7 +175,7 @@ aggregate(stats::Registry &reg, const SystemConfig &cfg,
     serve.scalar("offeredQps")
         .set(cfg.serve.mode == "open" ? cfg.serve.offeredQps : 0);
     serve.scalar("reqWaitPs").set(wait_ps);
-    if (relSeen) {
+    if (relRan) {
         for (const RelCounter &rc : relCounters)
             serve.scalar(rc.outName).set(rc.sum);
         // Goodput: on-time completions per second. Deadline-missed,

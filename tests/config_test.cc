@@ -174,6 +174,32 @@ TEST(ConfigRoundTrip, DescribeReparsesIdentically)
         SystemConfig back = SystemConfig::fromString(text, "describe");
         EXPECT_EQ(back.describe(), text) << preset;
     }
+
+    // Every result-shaping key is described, so each one's
+    // formatValue/parseValue pair must round-trip a non-default value.
+    // The rack, recovery, reliability and watchdog layers are off by
+    // default, so their keys are set here explicitly.
+    SystemConfig cfg = SystemConfig::preset("8D-4C");
+    for (const char *kv :
+         {"rack.hosts=2", "rack.fabric=direct", "rack.idcMode=forwarded",
+          "rack.latencyPs=1500000", "rack.switchHopPs=40000",
+          "rack.portGBps=12.25", "rack.pooledGBps=7.5",
+          "rack.groupsPerHost=1", "rack.hostDownId=1",
+          "rack.hostDownAtPs=123456", "rack.hostDownForPs=654321",
+          "rack.nodeDownId=1", "rack.nodeDownAtPs=777",
+          "rack.nodeDownForPs=888", "serve.deadlineUs=12.5",
+          "serve.maxRetries=4", "serve.backoffUs=2.5",
+          "serve.hedgeAfterUs=7.75", "serve.maxInflight=96",
+          "faults.suspectAfter=5", "faults.reprobeIntervalPs=3000000",
+          "faults.onExhausted=drop", "watchdog.stallPs=1000000"})
+        cfg.applyOverride(kv);
+    const std::string text = cfg.describe();
+    for (const char *key :
+         {"rack.latencyPs", "serve.backoffUs", "faults.onExhausted",
+          "watchdog.stallPs"})
+        EXPECT_NE(text.find(key), std::string::npos) << key;
+    EXPECT_EQ(SystemConfig::fromString(text, "describe").describe(),
+              text);
 }
 
 TEST(ConfigRoundTrip, FromFileReadsCommentedNestedJson)

@@ -3,7 +3,8 @@
  * MCN baseline, stuck-link failover, the BER/DLL transport, rack
  * pooling and the serving reliability layer). Each cell pins an
  * FNV-1a-64 digest of its full stats JSON -- config header included,
- * exactly as `example_simulate --json` emits it -- plus kernelTicks.
+ * exactly as `example_simulate --json` emits it -- plus kernelTicks,
+ * and must replay byte for byte from its own config header.
  *
  * A refactor that claims to be pure must leave every pin untouched.
  * An intentional change to the simulated machine re-records the pins
@@ -114,9 +115,9 @@ chaosServing()
 }
 
 std::string
-runCell(const GoldenCell &cell, Tick &kernel_ticks)
+runCell(const GoldenCell &cell, const SystemConfig &cfg,
+        Tick &kernel_ticks)
 {
-    const SystemConfig cfg = cell.config();
     System sys(cfg);
     workloads::WorkloadParams p;
     p.numThreads = cfg.numDimms * cfg.dimm.numCores;
@@ -137,24 +138,24 @@ runCell(const GoldenCell &cell, Tick &kernel_ticks)
 
 const GoldenCell cells[] = {
     {"8D-4C dimmlink pagerank", [] { return dimmLink("8D-4C"); },
-     "pagerank", 8, 2, 0x3a070f12d72ea2c6ULL, 16562614},
+     "pagerank", 8, 2, 0xd41735b46419c467ULL, 16562614},
     {"16D-8C dimmlink bfs (cross-group)",
      [] { return dimmLink("16D-8C"); }, "bfs", 8, 2,
-     0x95fee3d7a1ec5d9dULL, 49749674},
+     0x233c315d9f77c30eULL, 49749674},
     {"4D-2C mcn spmv",
      [] {
          auto cfg = SystemConfig::preset("4D-2C");
          cfg.idcMethod = IdcMethod::CpuForwarding;
          return cfg;
      },
-     "spmv", 8, 2, 0x69429848c01a6efcULL, 20696038},
+     "spmv", 8, 2, 0xec37cb2b68a9dba9ULL, 20696038},
     {"4D-2C stuck-link failover bfs", stuckFailover, "bfs", 6, 1,
-     0xc003f9f70c79e460ULL, 63492682},
+     0x82d0e113668be6d3ULL, 63492682},
     {"8D-4C ber/dll pagerank", berDll, "pagerank", 8, 2,
-     0xae2f2fefdb97c9d0ULL, 47363334},
-    {"rack_2host kv", rackTwoHost, "kv", 6, 2, 0x047e46e7e48257c7ULL,
+     0xf6cb0825bbc392f1ULL, 47363334},
+    {"rack_2host kv", rackTwoHost, "kv", 6, 2, 0x13e2eb27900db593ULL,
      381473898},
-    {"chaos-serving kv", chaosServing, "kv", 6, 2, 0x639859b98e8b6b8aULL,
+    {"chaos-serving kv", chaosServing, "kv", 6, 2, 0xb42c14eeb1b3d28bULL,
      383823160},
 };
 
@@ -162,7 +163,7 @@ TEST(GoldenStats, EveryCellMatchesItsPin)
 {
     for (const GoldenCell &cell : cells) {
         Tick ticks = 0;
-        const std::string json = runCell(cell, ticks);
+        const std::string json = runCell(cell, cell.config(), ticks);
         ASSERT_FALSE(json.empty()) << cell.name;
         const std::uint64_t digest = fnv1a64(json);
         EXPECT_TRUE(digest == cell.digest && ticks == cell.kernelTicks)
@@ -170,6 +171,36 @@ TEST(GoldenStats, EveryCellMatchesItsPin)
             << std::hex << digest << " (pinned 0x" << cell.digest
             << std::dec << "), kernelTicks " << ticks << " (pinned "
             << cell.kernelTicks << ")";
+    }
+}
+
+/** The "config" object of a stats JSON dump, as emitted. It is flat,
+ * so its first closing brace ends it. */
+std::string
+configSection(const std::string &json)
+{
+    const std::size_t begin = json.find('{', json.find("\"config\": "));
+    const std::size_t end = json.find('}', begin);
+    if (begin == std::string::npos || end == std::string::npos)
+        return "";
+    return json.substr(begin, end + 1 - begin);
+}
+
+TEST(GoldenStats, ReplaysFromItsOwnHeader)
+{
+    // A run record names the machine that produced it: feeding the
+    // emitted config back in must rerun the same machine exactly.
+    for (const GoldenCell &cell : cells) {
+        Tick ticks = 0, replay_ticks = 0;
+        const std::string json = runCell(cell, cell.config(), ticks);
+        const std::string header = configSection(json);
+        ASSERT_FALSE(header.empty()) << cell.name;
+        const SystemConfig replayed =
+            SystemConfig::fromString(header, cell.name);
+        EXPECT_TRUE(runCell(cell, replayed, replay_ticks) == json)
+            << "golden cell '" << cell.name
+            << "' did not replay from its own config header";
+        EXPECT_EQ(replay_ticks, ticks) << cell.name;
     }
 }
 

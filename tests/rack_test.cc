@@ -1,9 +1,9 @@
-/** @file Rack-scale memory pooling (docs/rack.md): the single-host
- * invisibility contract (no rack section -> byte-identical stats
- * JSON), multi-host repeat-run determinism, pooled
- * vs. host-forwarded cross-host routing, host-death and gateway-death
- * failover with nonzero reroute counters, and validate() rejections
- * for bad rack knobs. */
+/** @file Rack-scale memory pooling (docs/rack.md): the rack keys in
+ * the config header, a disabled layer that builds nothing (rack knobs
+ * at hosts = 1 -> byte-identical stats JSON), multi-host repeat-run
+ * determinism, pooled vs. host-forwarded cross-host routing,
+ * host-death and gateway-death failover with nonzero reroute
+ * counters, and validate() rejections for bad rack knobs. */
 
 #include <gtest/gtest.h>
 
@@ -68,16 +68,18 @@ runKv(const SystemConfig &cfg)
     return run;
 }
 
-TEST(RackConfig, KeysAreHiddenFromDescribe)
+TEST(RackConfig, KeysAreInDescribe)
 {
-    // Like obs.*: the config header embedded in stats JSON
-    // must keep its pre-rack shape.
+    // The rack shapes every result, so the config header embedded in
+    // stats JSON must record all 14 rack.* keys.
     const auto cfg = twoHostConfig();
-    EXPECT_EQ(cfg.describe().find("rack."), std::string::npos);
-    for (const auto &[key, value] : cfg.describeEntries()) {
-        (void)value;
-        EXPECT_NE(key.substr(0, 5), "rack.");
-    }
+    unsigned rack_keys = 0;
+    for (const auto &[key, value] : cfg.describeEntries())
+        if (key.substr(0, 5) == "rack.")
+            ++rack_keys;
+    EXPECT_EQ(rack_keys, 14u);
+    EXPECT_NE(cfg.describe().find("\"rack.hosts\": 2"),
+              std::string::npos);
 }
 
 TEST(RackConfig, PartitionHelpers)

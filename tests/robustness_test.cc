@@ -704,16 +704,18 @@ TEST(Config, AcceptsAllExhaustPolicies)
 }
 
 // ---------------------------------------------------------------------
-// Off-by-default invisibility.
+// Off by default: recorded in the header, silent in the stats.
 // ---------------------------------------------------------------------
 
-TEST(Invisibility, RecoveryKeysAreHiddenFromDescribe)
+TEST(Invisibility, RecoveryKeysAreInDescribe)
 {
     const auto d = SystemConfig::preset("4D-2C").describe();
-    EXPECT_EQ(d.find("suspectAfter"), std::string::npos);
-    EXPECT_EQ(d.find("reprobeIntervalPs"), std::string::npos);
-    EXPECT_EQ(d.find("onExhausted"), std::string::npos);
-    EXPECT_EQ(d.find("watchdog"), std::string::npos);
+    EXPECT_NE(d.find("\"faults.suspectAfter\": 2"), std::string::npos);
+    EXPECT_NE(d.find("\"faults.reprobeIntervalPs\": 20000000"),
+              std::string::npos);
+    EXPECT_NE(d.find("\"faults.onExhausted\": \"failover\""),
+              std::string::npos);
+    EXPECT_NE(d.find("\"watchdog.stallPs\": 0"), std::string::npos);
 }
 
 TEST(Invisibility, FaultFreeRunEmitsNoRecoveryStats)
@@ -730,15 +732,25 @@ TEST(Invisibility, FaultFreeRunEmitsNoRecoveryStats)
     Runner runner(sys, *wl);
     EXPECT_TRUE(runner.run().verified);
 
+    // The recovery counters exist from construction and stay at
+    // zero; the default dump omits zero values, so none is printed.
     std::ostringstream os;
-    stats::dumpJson(sys.stats(), os, /*include_empty=*/true);
+    stats::dumpJson(sys.stats(), os);
     const std::string json = os.str();
     for (const char *stat :
-         {"dllFailovers", "failoverBytes", "hostReroutes",
-          "proxyNotifyFallbacks", "linkSuspectEvents",
+         {"dllFailovers", "failoverBytes", "dllStreamResyncs",
+          "hostReroutes", "proxyNotifyFallbacks", "linkSuspectEvents",
           "linkDownEvents", "linkRecoveredEvents", "healthProbesSent",
-          "healthProbesFailed", "droppedUnroutable"})
+          "healthProbesFailed"}) {
+        const std::string dotted = std::string("fabric.dl.") + stat;
+        ASSERT_TRUE(sys.stats().hasScalar(dotted)) << dotted;
+        EXPECT_EQ(sys.stats().scalar(dotted), 0.0) << dotted;
         EXPECT_EQ(json.find(stat), std::string::npos) << stat;
+    }
+    const std::string router = "fabric.dl.group0.router0";
+    ASSERT_TRUE(sys.stats().hasScalar(router + ".droppedUnroutable"));
+    EXPECT_EQ(sys.stats().scalar(router + ".droppedUnroutable"), 0.0);
+    EXPECT_EQ(json.find("droppedUnroutable"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
